@@ -11,6 +11,7 @@ from .approx import (
     lebesgue_constant,
     lsq_fit,
     lsq_norm,
+    sup_errors,
 )
 from .cubature import (
     CubatureRule,

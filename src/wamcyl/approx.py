@@ -14,14 +14,6 @@ import scipy.linalg
 
 from . import densela, extract, polybasis
 
-# memory cap for control-mesh scans: at most 65536 rows per block, fewer
-# when the basis is wide enough that a block would exceed ~2 GB
-_BLOCK_ELEMENTS = 2.5e8
-
-
-def _block_rows(ncols):
-    return int(min(65536, max(1024, _BLOCK_ELEMENTS // max(ncols, 1))))
-
 
 @dataclass(frozen=True)
 class Interpolant:
@@ -50,11 +42,37 @@ def interpolate(nodes, samples):
 def eval_interpolant(q, pts):
     """Values of the interpolant at the given points (Mesh or array)."""
     basis = polybasis.enumerate_basis(q.degree)
-    block = _block_rows(len(basis))
-    out = []
-    for _, B in polybasis.iter_vandermonde_blocks(basis, pts, block):
-        out.append(B @ q.coefficients)
-    return np.concatenate(out)
+    cols = q.coefficients.size // len(basis)
+    blocks = polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=cols)
+    return np.concatenate([B @ q.coefficients for _, B in blocks])
+
+
+def sup_errors(degree, coefficients, fn, pts):
+    """Column-wise sup norms over pts of V C - fn(pts) and of fn(pts).
+
+    C is (N, K) in the graded basis of the degree and fn maps an (m, 3)
+    block of points to its (m, K) target values; both norms come out of a
+    single stream over pts.  Returns (err, sup_f), each of length K.
+    """
+    basis = polybasis.enumerate_basis(degree)
+    pts = np.asarray(getattr(pts, "points", pts), dtype=float)
+    CT = np.asarray(coefficients, dtype=float).T
+    err = np.zeros(CT.shape[0])
+    sup_f = np.zeros(CT.shape[0])
+    for lo, B in polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=3 * CT.shape[0]):
+        f = fn(pts[lo:lo + B.shape[0]]).T
+        # the same values as B @ C, without the packing buffers OpenBLAS
+        # touches for a tall block times a narrow C (about 60 MB at n = 15)
+        R = CT @ B.T
+        R -= f
+        np.maximum(err, np.abs(R, out=R).max(axis=1), out=err)
+        np.maximum(sup_f, np.abs(f).max(axis=1), out=sup_f)
+    return err, sup_f
+
+
+def _max_abs_colsum(G):
+    # G is a fresh temporary of the caller's block, so it is reduced in place
+    return float(np.abs(G, out=G).sum(axis=0).max())
 
 
 def lebesgue_constant(nodes, control):
@@ -66,11 +84,9 @@ def lebesgue_constant(nodes, control):
     basis = polybasis.enumerate_basis(nodes.degree)
     A = polybasis.vandermonde(basis, nodes.nodes)
     lu_piv = densela.lu_factor_checked(A)
-    block = _block_rows(len(basis))
     lam = 0.0
-    for _, B in polybasis.iter_vandermonde_blocks(basis, control, block):
-        L = scipy.linalg.lu_solve(lu_piv, B.T, trans=1)
-        lam = max(lam, float(np.abs(L).sum(axis=0).max()))
+    for _, B in polybasis.iter_vandermonde_blocks(basis, control, live_per_row=len(basis)):
+        lam = max(lam, _max_abs_colsum(scipy.linalg.lu_solve(lu_piv, B.T, trans=1)))
     return lam
 
 
@@ -104,11 +120,10 @@ def lsq_norm(proj, eval_on=None):
     """
     pts = proj.mesh if eval_on is None else eval_on
     basis = polybasis.enumerate_basis(proj.degree)
-    M = proj.q.shape[0]
-    block = int(min(_block_rows(len(basis)), max(256, _BLOCK_ELEMENTS // max(M, 1))))
+    M, N = proj.q.shape
     PT = proj.transform.T
     best = 0.0
-    for _, B in polybasis.iter_vandermonde_blocks(basis, pts, block):
-        G = proj.q @ (PT @ B.T)
-        best = max(best, float(np.abs(G).sum(axis=0).max()))
+    # per row: P^T b (N values) and the M projector values
+    for _, B in polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=N + M):
+        best = max(best, _max_abs_colsum(proj.q @ (PT @ B.T)))
     return best

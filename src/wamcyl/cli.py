@@ -41,21 +41,31 @@ def _select(mesh, n, method, steps):
     return extract.select_dlp(mesh, n, steps)
 
 
-def _samples(fn, pts):
-    return np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float)
+def _samples(fns, pts):
+    """(m, F) values of the functions at an (m, 3) array of points."""
+    return np.column_stack(
+        [np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float) for fn in fns]
+    )
+
+
+def _single_degree(args):
+    if len(args.degree) != 1:
+        raise ValueError(f"{args.command} takes a single degree")
+    return args.degree[0]
 
 
 def cmd_gen(args):
-    mesh = meshgen.generate_mesh(args.mesh, args.degree[0])
+    n = _single_degree(args)
+    mesh = meshgen.generate_mesh(args.mesh, n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = fileio.write_mesh_csv(out / f"{args.mesh}{args.degree[0]}.csv", mesh)
+    path = fileio.write_mesh_csv(out / f"{args.mesh}{n}.csv", mesh)
     print(f"{mesh.family} degree {mesh.degree}: {mesh.cardinality} points -> {path}")
     return 0
 
 
 def cmd_extract(args):
-    n = args.degree[0]
+    n = _single_degree(args)
     # a degree-0 extraction still needs a real mesh to select from
     mesh = meshgen.generate_mesh(args.mesh, max(n, 1))
     sel = _select(mesh, n, args.method, args.ortho_steps)
@@ -68,20 +78,78 @@ def cmd_extract(args):
     return 0
 
 
-def _metrics_rows(family, n, method, steps, mult):
-    mesh = meshgen.generate_mesh(family, n)
-    control = meshgen.control_mesh(family, n, mult)
+def _meshes(family, n, mult):
+    return meshgen.generate_mesh(family, n), meshgen.control_mesh(family, n, mult)
+
+
+def _node_metrics(mesh, control, method, steps):
+    """Lebesgue constant on the control mesh and cond_2 of the node Vandermonde."""
+    n = mesh.degree
     sel = _select(mesh, n, method, steps)
     lam = approx.lebesgue_constant(sel, control)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), sel.nodes)
-    kappa = densela.cond_2(V)
-    proj = approx.build_lsq(mesh, n, steps=2)
-    lnorm = approx.lsq_norm(proj, eval_on=control)
+    return lam, densela.cond_2(V)
+
+
+def _lsq_norm(mesh, control):
+    """Operator norm on the control mesh of the least-squares projector."""
+    proj = approx.build_lsq(mesh, mesh.degree, steps=2)
+    return approx.lsq_norm(proj, eval_on=control)
+
+
+def _metrics_rows(family, n, method, steps, mult):
+    mesh, control = _meshes(family, n, mult)
+    lam, kappa = _node_metrics(mesh, control, method, steps)
     return [
         (n, method, family, "lebesgue", lam),
         (n, method, family, "cond_inf", kappa),
-        (n, "lsq", family, "lsq_norm", lnorm),
+        (n, "lsq", family, "lsq_norm", _lsq_norm(mesh, control)),
     ]
+
+
+def _error_rows(family, n, method, steps, mult, fids, refs):
+    """Interpolation, least-squares and cubature errors of every function.
+
+    The interpolation and least-squares coefficients of all functions are
+    stacked, so a single stream over the control mesh yields every sup norm.
+    """
+    mesh, control = _meshes(family, n, mult)
+    sel = _select(mesh, n, method, steps)
+    rule = cubature.cubature_weights(sel)
+    fns = [testfns.get_function(fid).fn for fid in fids]
+    interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
+    fit = approx.lsq_fit(approx.build_lsq(mesh, n, steps=2), _samples(fns, mesh.points))
+    err, sup_f = approx.sup_errors(
+        n, np.hstack([interp, fit]), lambda pts: np.tile(_samples(fns, pts), 2), control
+    )
+    rel = (err / sup_f).reshape(2, len(fns))
+    rows = []
+    for i, (fid, fn) in enumerate(zip(fids, fns)):
+        cub_err = abs(cubature.apply_rule(rule, fn) - refs[fid]) / abs(refs[fid])
+        rows.extend([
+            (n, method, family, f"interp_err_{fid}", rel[0, i]),
+            (n, method, family, f"lsq_err_{fid}", rel[1, i]),
+            (n, method, family, f"cub_err_{fid}", cub_err),
+        ])
+    return rows
+
+
+def _write_rows(args, row_fn, jobs):
+    """Run row_fn(*job) for every job, in args.jobs processes; sort, append
+    to results.csv and print the rows."""
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            parts = list(pool.map(row_fn, *zip(*jobs)))
+    else:
+        parts = [row_fn(*job) for job in jobs]
+    rows = sorted((row for part in parts for row in part), key=lambda r: (r[0], r[1], r[3]))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = fileio.append_results(out / "results.csv", rows)
+    for row in rows:
+        print(f"{row[3]} n={row[0]} {row[2]}/{row[1]}: {row[4]:.6g}")
+    print(f"appended {len(rows)} rows -> {path}")
+    return 0
 
 
 def cmd_metrics(args):
@@ -89,84 +157,18 @@ def cmd_metrics(args):
         raise ValueError("metrics needs degree >= 1")
     jobs = [(args.mesh, n, args.method, args.ortho_steps, args.control_mult)
             for n in args.degree]
-    rows = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_metrics_rows_star, jobs):
-                rows.extend(part)
-    else:
-        for job in jobs:
-            rows.extend(_metrics_rows(*job))
-    rows.sort(key=lambda r: (r[0], r[1], r[3]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = fileio.append_results(out / "results.csv", rows)
-    for row in rows:
-        print(f"{row[3]} n={row[0]} {row[2]}/{row[1]}: {row[4]:.6g}")
-    print(f"appended {len(rows)} rows -> {path}")
-    return 0
-
-
-def _metrics_rows_star(job):
-    return _metrics_rows(*job)
-
-
-def _error_rows(family, n, method, steps, mult, fids, oracle_cache):
-    mesh = meshgen.generate_mesh(family, n)
-    control = meshgen.control_mesh(family, n, mult)
-    sel = _select(mesh, n, method, steps)
-    rule = cubature.cubature_weights(sel)
-    proj = approx.build_lsq(mesh, n, steps=2)
-    rows = []
-    for fid in fids:
-        tf = testfns.get_function(fid)
-        truth = _samples(tf.fn, control.points)
-        scale = np.abs(truth).max()
-        q = approx.interpolate(sel, _samples(tf.fn, sel.nodes))
-        interp_err = np.abs(approx.eval_interpolant(q, control) - truth).max() / scale
-        coeffs = approx.lsq_fit(proj, _samples(tf.fn, mesh.points))
-        fit = approx.Interpolant(degree=n, nodes=sel.nodes, coefficients=coeffs)
-        lsq_err = np.abs(approx.eval_interpolant(fit, control) - truth).max() / scale
-        if fid not in oracle_cache:
-            oracle_cache[fid] = cubature.oracle_integral(tf.fn, tf.oracle_tol)
-        ref = oracle_cache[fid]
-        cub_err = abs(cubature.apply_rule(rule, tf.fn) - ref) / abs(ref)
-        rows.extend([
-            (n, method, family, f"interp_err_{fid}", interp_err),
-            (n, method, family, f"lsq_err_{fid}", lsq_err),
-            (n, method, family, f"cub_err_{fid}", cub_err),
-        ])
-    return rows
-
-
-def _error_rows_star(job):
-    return _error_rows(*job, oracle_cache={})
+    return _write_rows(args, _metrics_rows, jobs)
 
 
 def cmd_errors(args):
     if min(args.degree) < 1:
         raise ValueError("errors needs degree >= 1")
-    fids = args.function
-    rows = []
-    if args.jobs > 1:
-        jobs = [(args.mesh, n, args.method, args.ortho_steps, args.control_mult, fids)
-                for n in args.degree]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_error_rows_star, jobs):
-                rows.extend(part)
-    else:
-        cache = {}
-        for n in args.degree:
-            rows.extend(_error_rows(args.mesh, n, args.method, args.ortho_steps,
-                                    args.control_mult, fids, cache))
-    rows.sort(key=lambda r: (r[0], r[1], r[3]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = fileio.append_results(out / "results.csv", rows)
-    for row in rows:
-        print(f"{row[3]} n={row[0]} {row[2]}/{row[1]}: {row[4]:.6g}")
-    print(f"appended {len(rows)} rows -> {path}")
-    return 0
+    # oracle references do not depend on the degree: computed once, here
+    tfs = {fid: testfns.get_function(fid) for fid in args.function}
+    refs = {fid: cubature.oracle_integral(tf.fn, tf.oracle_tol) for fid, tf in tfs.items()}
+    jobs = [(args.mesh, n, args.method, args.ortho_steps, args.control_mult,
+             args.function, refs) for n in args.degree]
+    return _write_rows(args, _error_rows, jobs)
 
 
 _TABLE_CONFIG = {
@@ -190,12 +192,8 @@ def cmd_reproduce(args):
     if args.table == 5:
         rows = []
         for n in degrees:
-            vals = [n]
-            for family in ("wam1", "wam2"):
-                mesh = meshgen.generate_mesh(family, n)
-                proj = approx.build_lsq(mesh, n, steps=2)
-                control = meshgen.control_mesh(family, n, args.control_mult)
-                vals.append(approx.lsq_norm(proj, eval_on=control))
+            vals = [n] + [_lsq_norm(*_meshes(family, n, args.control_mult))
+                          for family in ("wam1", "wam2")]
             rows.append(vals)
             print(f"n={n}: wam1 {vals[1]:.4g}  wam2 {vals[2]:.4g}")
         path = fileio.write_table_csv(out / "table5.csv",
@@ -204,12 +202,8 @@ def cmd_reproduce(args):
         family, method = _TABLE_CONFIG[args.table]
         rows = []
         for n in degrees:
-            mesh = meshgen.generate_mesh(family, n)
-            control = meshgen.control_mesh(family, n, args.control_mult)
-            sel = _select(mesh, n, method, steps)
-            lam = approx.lebesgue_constant(sel, control)
-            V = polybasis.vandermonde(polybasis.enumerate_basis(n), sel.nodes)
-            kappa = densela.cond_2(V)
+            mesh, control = _meshes(family, n, args.control_mult)
+            lam, kappa = _node_metrics(mesh, control, method, steps)
             rows.append((n, lam, kappa))
             print(f"n={n}: lebesgue {lam:.4g}  cond {kappa:.4g}")
         path = fileio.write_table_csv(out / f"table{args.table}.csv",
@@ -222,18 +216,18 @@ def build_parser():
     parser = _Parser(prog="wamcyl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mesh=True, method=False, degrees="5"):
-        if mesh:
-            p.add_argument("--mesh", choices=MESH_CHOICES, required=True)
+    def common(p, method=False, scans=False, degrees="5"):
+        p.add_argument("--mesh", choices=MESH_CHOICES, required=True)
         p.add_argument("--degree", type=_parse_degrees, default=_parse_degrees(degrees),
                        help="degree, list '5,10' or range '5..20'")
         if method:
             p.add_argument("--method", choices=METHOD_CHOICES, default="afp")
-        p.add_argument("--ortho-steps", type=int, default=2,
-                       help="orthogonalization steps for extraction (default 2)")
-        p.add_argument("--control-mult", type=int, default=None,
-                       help="override the control-mesh degree multiplier")
-        p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--ortho-steps", type=int, default=2,
+                           help="orthogonalization steps for extraction (default 2)")
+        if scans:
+            p.add_argument("--control-mult", type=int, default=None,
+                           help="override the control-mesh degree multiplier")
+            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default="out")
 
     p = sub.add_parser("gen", help="generate a mesh CSV + JSON sidecar")
@@ -245,11 +239,11 @@ def build_parser():
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("metrics", help="lebesgue / condition / operator norm rows")
-    common(p, method=True)
+    common(p, method=True, scans=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("errors", help="interpolation / least-squares / cubature errors")
-    common(p, method=True, degrees="5..20")
+    common(p, method=True, scans=True, degrees="5..20")
     p.add_argument("--function", action="append", default=None,
                    choices=sorted(testfns.REGISTRY), help="repeatable; default f3")
     p.set_defaults(func=cmd_errors)
@@ -260,7 +254,6 @@ def build_parser():
     p.add_argument("--ortho-steps", type=int, default=None,
                    help="extraction preconditioning steps (default 0 here)")
     p.add_argument("--control-mult", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -16,11 +16,6 @@ import scipy.linalg
 
 from .errors import RankDeficiencyError, SingularMatrixError
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is optional
-    njit = None
-
 RANK_TOL = 1e-12
 
 
@@ -62,8 +57,7 @@ def qr_col_pivot(A, steps=None):
 
 
 def _lu_eliminate_numpy(U, perm, mags, tol_abs):
-    # elementwise arithmetic matches the jitted kernel exactly: one
-    # multiply and one subtract per entry, first-max pivot search
+    # one multiply and one subtract per entry, first-max pivot search
     n_rows, n_cols = U.shape
     for k in range(n_cols):
         col = np.abs(U[k:, k])
@@ -78,39 +72,6 @@ def _lu_eliminate_numpy(U, perm, mags, tol_abs):
             mult = U[k + 1 :, k] / U[k, k]
             U[k + 1 :, k + 1 :] -= mult[:, None] * U[k, k + 1 :]
     return -1
-
-
-def _lu_eliminate_loops(U, perm, mags, tol_abs):
-    n_rows, n_cols = U.shape
-    for k in range(n_cols):
-        p = k
-        best = abs(U[k, k])
-        for i in range(k + 1, n_rows):
-            v = abs(U[i, k])
-            if v > best:
-                best = v
-                p = i
-        mags[k] = best
-        if best < tol_abs:
-            return k
-        if p != k:
-            for j in range(n_cols):
-                tmp = U[k, j]
-                U[k, j] = U[p, j]
-                U[p, j] = tmp
-            tmp_i = perm[k]
-            perm[k] = perm[p]
-            perm[p] = tmp_i
-        ukk = U[k, k]
-        for i in range(k + 1, n_rows):
-            mult = U[i, k] / ukk
-            U[i, k] = mult
-            for j in range(k + 1, n_cols):
-                U[i, j] = U[i, j] - mult * U[k, j]
-    return -1
-
-
-_lu_eliminate_fast = njit(cache=True)(_lu_eliminate_loops) if njit else None
 
 
 def lu_row_pivot(A):
@@ -130,8 +91,7 @@ def lu_row_pivot(A):
         raise SingularMatrixError("zero matrix")
     perm = np.arange(n_rows)
     mags = np.empty(n_cols)
-    kernel = _lu_eliminate_fast if _lu_eliminate_fast is not None else _lu_eliminate_numpy
-    bad = kernel(U, perm, mags, RANK_TOL * scale)
+    bad = _lu_eliminate_numpy(U, perm, mags, RANK_TOL * scale)
     if bad >= 0:
         raise SingularMatrixError(f"pivot {mags[bad]:g} below tolerance at column {bad}")
     return PivotRecord(order=perm, magnitudes=mags)

@@ -21,6 +21,12 @@ from .errors import DomainError
 DOMAIN_TOL = 1e-12
 CLAMP_TOL = 1e-14
 
+# control-mesh scans keep each block's live float64 values under about 2 GB,
+# within 1024..65536 rows per block
+_BLOCK_VALUES = 250_000_000
+_MIN_BLOCK_ROWS = 1024
+_MAX_BLOCK_ROWS = 65536
+
 
 class MultiIndex(NamedTuple):
     i: int
@@ -129,9 +135,18 @@ def _validate_points(pts):
         raise DomainError(f"point {pts[bad]} outside the cylinder")
 
 
-def iter_vandermonde_blocks(basis, mesh, block_rows=65536):
-    """Yield (row_offset, block) Vandermonde pieces for large meshes."""
+def iter_vandermonde_blocks(basis, mesh, block_rows=None, live_per_row=0):
+    """Yield (row_offset, block) Vandermonde pieces for large meshes.
+
+    Unless `block_rows` is given, a block's rows are sized so that the block,
+    the previous block (still held by the caller's loop variable while the
+    next one is assembled) and the `live_per_row` float64 values per row
+    that the caller's reduction keeps alive fit in _BLOCK_VALUES.
+    """
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
+    if block_rows is None:
+        per_row = 2 * len(basis) + live_per_row
+        block_rows = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_row))
     for lo in range(0, pts.shape[0], block_rows):
         yield lo, vandermonde(basis, pts[lo:lo + block_rows])
 

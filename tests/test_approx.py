@@ -10,6 +10,7 @@ from wamcyl.approx import (
     lebesgue_constant,
     lsq_fit,
     lsq_norm,
+    sup_errors,
 )
 
 
@@ -88,16 +89,46 @@ def test_lebesgue_within_fekete_bound():
         assert lam <= polybasis.basis_size(n) * max(ratio, 1.0)
 
 
-def test_lebesgue_blocking_invariance():
-    sel = extract.select_afp(meshgen.wam2(3), 3)
-    ctrl = meshgen.wam2(9)
-    lam = lebesgue_constant(sel, ctrl)
+def test_lebesgue_blocking_invariance(monkeypatch):
+    n = 3
+    mesh = meshgen.wam2(n)
+    sel = extract.select_afp(mesh, n)
+    proj = build_lsq(mesh, n)
+    ctrl = meshgen.wam2(20)  # 4631 points: one block by default
+    basis = polybasis.enumerate_basis(n)
+    rng = np.random.default_rng(13)
+    C = rng.uniform(-1, 1, (len(basis), 4))
+
+    def target(pts):
+        return np.cos(pts @ np.arange(1.0, 13.0).reshape(3, 4))
+
+    def scans():
+        return (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
+                *sup_errors(n, C, target, ctrl))
+
+    one = scans()
+    # an empty value budget drops every scan to the 1024-row floor
+    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
+    blocks = []
+    build = polybasis.vandermonde
+
+    def counted(b, pts):
+        blocks.append(len(pts))
+        return build(b, pts)
+
+    monkeypatch.setattr(polybasis, "vandermonde", counted)
+    many = scans()
+    assert blocks.count(1024) == 3 * 4  # per scan: four full blocks, one of 535 rows
+    for a, b in zip(one, many):
+        np.testing.assert_allclose(b, a, rtol=1e-12)
     # manual single-shot computation
-    basis = polybasis.enumerate_basis(3)
-    A = polybasis.vandermonde(basis, sel.nodes)
-    B = polybasis.vandermonde(basis, ctrl)
+    A = build(basis, sel.nodes)
+    B = build(basis, ctrl)
     L = np.linalg.solve(A.T, B.T)
-    assert lam == pytest.approx(np.abs(L).sum(axis=0).max(), rel=1e-12)
+    assert one[0] == pytest.approx(np.abs(L).sum(axis=0).max(), rel=1e-12)
+    f = target(ctrl.points)
+    np.testing.assert_allclose(one[2], np.abs(B @ C - f).max(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(one[3], np.abs(f).max(axis=0), rtol=1e-12)
 
 
 def test_lebesgue_scale_invariance():

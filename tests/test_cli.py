@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from wamcyl import approx, extract, meshgen, testfns
 from wamcyl.cli import main
 
 
@@ -45,6 +47,14 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_degree_list_rejected_by_single_degree_commands(tmp_path):
+    for cmd in (["gen"], ["extract", "--method", "afp"]):
+        for spec in ("5,6", "5..6"):
+            code = main(cmd + ["--mesh", "wam1", "--degree", spec, "--out", str(tmp_path)])
+            assert code == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_degree_too_large_is_usage_error(tmp_path):
     code = main(["extract", "--mesh", "cheb", "--degree", "5", "--out", str(tmp_path)])
     assert code == 1
@@ -79,6 +89,32 @@ def test_errors_const1(tmp_path):
     assert vals["interp_err_const1"] <= 1e-13
     assert vals["cub_err_const1"] <= 1e-12
     assert vals["lsq_err_const1"] <= 1e-12
+
+
+def test_errors_rows_match_per_function_formula(tmp_path):
+    # the fused control-mesh stream reproduces, per function, the sup norm
+    # of the evaluated interpolant and least-squares fit minus the function
+    n, fids = 4, ["f1", "f3", "f6"]
+    argv = ["errors", "--mesh", "wam1", "--degree", str(n), "--method", "dlp",
+            "--out", str(tmp_path)]
+    for fid in fids:
+        argv += ["--function", fid]
+    assert main(argv) == 0
+    got = {r[3]: float(r[4]) for r in _csv_rows(tmp_path / "results.csv")[1:]}
+    mesh = meshgen.wam1(n)
+    control = meshgen.control_mesh("wam1", n)
+    sel = extract.select_dlp(mesh, n)
+    proj = approx.build_lsq(mesh, n)
+    for fid in fids:
+        fn = testfns.get_function(fid).fn
+        truth = fn(*control.points.T)
+        scale = np.abs(truth).max()
+        q = approx.interpolate(sel, fn(*sel.nodes.T))
+        fit = approx.Interpolant(degree=n, nodes=sel.nodes,
+                                 coefficients=approx.lsq_fit(proj, fn(*mesh.points.T)))
+        for tag, p in (("interp", q), ("lsq", fit)):
+            want = np.abs(approx.eval_interpolant(p, control) - truth).max() / scale
+            assert got[f"{tag}_err_{fid}"] == pytest.approx(want, rel=1e-12)
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -120,3 +156,9 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+    errors = ["errors", "--mesh", "wam1", "--degree", "2,3", "--method", "dlp",
+              "--function", "f3", "--function", "const1"]
+    assert main(errors + ["--jobs", "1", "--out", str(serial / "e")]) == 0
+    assert main(errors + ["--jobs", "2", "--out", str(parallel / "e")]) == 0
+    assert ((serial / "e" / "results.csv").read_bytes()
+            == (parallel / "e" / "results.csv").read_bytes())

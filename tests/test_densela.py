@@ -140,27 +140,3 @@ def test_pivot_record_rejects_non_permutation():
     with pytest.raises(ValueError):
         PivotRecord(order=np.array([0, 0, 1]), magnitudes=np.ones(3))
 
-
-def test_lu_kernels_bitwise_identical():
-    # the jitted elimination and the vectorized numpy one perform the same
-    # IEEE operations per entry; ties included, results must agree bitwise
-    from wamcyl import densela
-
-    if densela._lu_eliminate_fast is None:
-        pytest.skip("numba not available")
-    rng = np.random.default_rng(6)
-    mats = [rng.standard_normal((25, 12)) for _ in range(5)]
-    sym = rng.standard_normal((9, 6))
-    mats.append(np.vstack([sym, sym[::-1]]))  # exact tied magnitudes
-    for A in mats:
-        u1 = np.array(A, order="C")
-        u2 = np.array(A, order="C")
-        p1 = np.arange(A.shape[0])
-        p2 = p1.copy()
-        m1 = np.empty(A.shape[1])
-        m2 = np.empty(A.shape[1])
-        r1 = densela._lu_eliminate_fast(u1, p1, m1, 0.0)
-        r2 = densela._lu_eliminate_numpy(u2, p2, m2, 0.0)
-        assert r1 == r2
-        np.testing.assert_array_equal(p1, p2)
-        assert m1.tobytes() == m2.tobytes()
