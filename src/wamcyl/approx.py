@@ -3,8 +3,9 @@
 Coefficients always live in the graded cylinder basis, even when a
 least-squares projector was built through a preconditioning transform, so
 interpolants can be evaluated and compared across modules.  Sup norms over
-large control meshes are estimated blockwise; the maximum is
-order-independent, so blocking never changes results.
+large control meshes are reductions of X V(block)^T over one stream of
+blocks (polybasis.scan); the maximum is order-independent, so blocking
+never changes results.
 """
 
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ def interpolate(nodes, samples):
 def eval_interpolant(q, pts):
     """Values of the interpolant at the given points (Mesh or array)."""
     basis = polybasis.enumerate_basis(q.degree)
-    cols = q.coefficients.size // len(basis)
-    blocks = polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=cols)
-    return np.concatenate([B @ q.coefficients for _, B in blocks])
+    C = q.coefficients
+    parts = polybasis.scan(basis, C.reshape(len(basis), -1).T, pts, lambda _, R: R.T)
+    return np.concatenate(list(parts)).reshape((-1,) + C.shape[1:])
 
 
 def sup_errors(degree, coefficients, fn, pts):
@@ -57,37 +58,32 @@ def sup_errors(degree, coefficients, fn, pts):
     basis = polybasis.enumerate_basis(degree)
     pts = np.asarray(getattr(pts, "points", pts), dtype=float)
     CT = np.asarray(coefficients, dtype=float).T
-    err = np.zeros(CT.shape[0])
-    sup_f = np.zeros(CT.shape[0])
-    for lo, B in polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=3 * CT.shape[0]):
-        f = fn(pts[lo:lo + B.shape[0]]).T
-        # the same values as B @ C, without the packing buffers OpenBLAS
-        # touches for a tall block times a narrow C (about 60 MB at n = 15)
-        R = CT @ B.T
+
+    def reduce(rows, R):
+        f = fn(pts[rows]).T
         R -= f
-        np.maximum(err, np.abs(R, out=R).max(axis=1), out=err)
-        np.maximum(sup_f, np.abs(f).max(axis=1), out=sup_f)
-    return err, sup_f
+        return np.abs(R, out=R).max(axis=1), np.abs(f).max(axis=1)
+
+    err, sup_f = zip(*polybasis.scan(basis, CT, pts, reduce, live_per_row=2 * CT.shape[0]))
+    return np.max(err, axis=0), np.max(sup_f, axis=0)
 
 
-def _max_abs_colsum(G):
-    # G is a fresh temporary of the caller's block, so it is reduced in place
-    return float(np.abs(G, out=G).sum(axis=0).max())
+def _projector_norm(basis, X, pts):
+    """Lebesgue constant max over pts of ||X b(x)||_1 of a linear projector."""
+    norms = polybasis.scan(basis, X, pts, lambda _, G: np.abs(G, out=G).sum(axis=0).max())
+    return float(max(norms))
 
 
 def lebesgue_constant(nodes, control):
     """Max over the control mesh of the 1-norm of the Lagrange values.
 
-    Solves V(nodes)^T L = V(control)^T blockwise with a single LU
-    factorization of the node Vandermonde.
+    The Lagrange values at x are V(nodes)^-T b(x); the inverse comes from
+    a single checked LU factorization of the node Vandermonde.
     """
     basis = polybasis.enumerate_basis(nodes.degree)
-    A = polybasis.vandermonde(basis, nodes.nodes)
-    lu_piv = densela.lu_factor_checked(A)
-    lam = 0.0
-    for _, B in polybasis.iter_vandermonde_blocks(basis, control, live_per_row=len(basis)):
-        lam = max(lam, _max_abs_colsum(scipy.linalg.lu_solve(lu_piv, B.T, trans=1)))
-    return lam
+    lu_piv = densela.lu_factor_checked(polybasis.vandermonde(basis, nodes.nodes))
+    X = scipy.linalg.lu_solve(lu_piv, np.eye(len(basis)), trans=1)
+    return _projector_norm(basis, X, control)
 
 
 def build_lsq(mesh, n, steps=2):
@@ -114,16 +110,10 @@ def lsq_fit(proj, samples):
 
 
 def lsq_norm(proj, eval_on=None):
-    """Operator norm of the projector: max over points of ||Q P^T p(x)||_1.
+    """Operator norm of the projector: max over points of ||Q P^T b(x)||_1.
 
     Defaults to evaluating on the projector's own mesh.
     """
     pts = proj.mesh if eval_on is None else eval_on
     basis = polybasis.enumerate_basis(proj.degree)
-    M, N = proj.q.shape
-    PT = proj.transform.T
-    best = 0.0
-    # per row: P^T b (N values) and the M projector values
-    for _, B in polybasis.iter_vandermonde_blocks(basis, pts, live_per_row=N + M):
-        best = max(best, _max_abs_colsum(proj.q @ (PT @ B.T)))
-    return best
+    return _projector_norm(basis, proj.q @ proj.transform.T, pts)

@@ -29,10 +29,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_degrees(spec):
     """Accept '7', '5,8,12' or '5..20'."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            degrees = list(range(int(lo), int(hi) + 1))
+        else:
+            degrees = [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        degrees = []
+    if not degrees:
+        raise argparse.ArgumentTypeError(
+            f"invalid degree spec {spec!r}: expected 'n', 'a,b,c' or 'lo..hi' with lo <= hi"
+        )
+    return degrees
 
 
 def _select(mesh, n, method, steps):

@@ -48,15 +48,20 @@ def _leggauss(q):
     return np.polynomial.legendre.leggauss(q)
 
 
-def product_rule(level):
-    """Nodes (M, 3) and weights (M,) of the level-L cylinder product rule."""
+def _rules_1d(level):
+    """The level-L angles and their common weight, radial Gauss-Legendre on
+    [0, 1] with the polar jacobian in its weights, and axial Gauss-Legendre."""
     m = 2 * level + 2
     ang = 2.0 * np.pi * np.arange(m) / m
-    wa = 2.0 * np.pi / m
     xr, wr = _leggauss(level + 2)
     r = (xr + 1.0) / 2.0
-    wr = wr / 2.0 * r  # polar jacobian
     xz, wz = _leggauss(level + 1)
+    return ang, 2.0 * np.pi / m, r, wr / 2.0 * r, xz, wz
+
+
+def product_rule(level):
+    """Nodes (M, 3) and weights (M,) of the level-L cylinder product rule."""
+    ang, wa, r, wr, xz, wz = _rules_1d(level)
     R, A, Z = np.meshgrid(r, ang, xz, indexing="ij")
     W = np.einsum("i,k->ik", wr, wz)[:, None, :] * wa
     pts = np.column_stack([(R * np.cos(A)).ravel(), (R * np.sin(A)).ravel(), Z.ravel()])
@@ -109,13 +114,7 @@ def apply_rule(rule, f):
 
 
 def _integrate_level(f, level):
-    m = 2 * level + 2
-    ang = 2.0 * np.pi * np.arange(m) / m
-    wa = 2.0 * np.pi / m
-    xr, wr = _leggauss(level + 2)
-    r = (xr + 1.0) / 2.0
-    wr = wr / 2.0 * r
-    xz, wz = _leggauss(level + 1)
+    ang, wa, r, wr, xz, wz = _rules_1d(level)
     W = np.outer(wr, wz)
     R = np.broadcast_to(r[:, None], W.shape)
     Z = np.broadcast_to(xz[None, :], W.shape)

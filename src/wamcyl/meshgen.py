@@ -243,8 +243,5 @@ def empirical_wam_ratio(family, n, num_polys=100, seed=0, control=None):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(basis), num_polys))
     sup_mesh = np.abs(polybasis.vandermonde(basis, mesh) @ coeffs).max(axis=0)
-    sup_ctrl = np.zeros(num_polys)
-    for _, block in polybasis.iter_vandermonde_blocks(basis, control, live_per_row=num_polys):
-        vals = block @ coeffs
-        np.maximum(sup_ctrl, np.abs(vals, out=vals).max(axis=0), out=sup_ctrl)
-    return sup_ctrl / sup_mesh
+    sups = polybasis.scan(basis, coeffs.T, control, lambda _, R: np.abs(R, out=R).max(axis=1))
+    return np.max(list(sups), axis=0) / sup_mesh

@@ -135,20 +135,23 @@ def _validate_points(pts):
         raise DomainError(f"point {pts[bad]} outside the cylinder")
 
 
-def iter_vandermonde_blocks(basis, mesh, block_rows=None, live_per_row=0):
-    """Yield (row_offset, block) Vandermonde pieces for large meshes.
+def scan(basis, X, mesh, reduce, live_per_row=0):
+    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per row block.
 
-    Unless `block_rows` is given, a block's rows are sized so that the block,
-    the previous block (still held by the caller's loop variable while the
-    next one is assembled) and the `live_per_row` float64 values per row
-    that the caller's reduction keeps alive fit in _BLOCK_VALUES.
+    X is (K, N) with N = len(basis).  Only the reduction leaves the
+    generator, so each block and its (K, m) product are freed before the
+    next block is built.  Rows per block keep the block's N values, the
+    product's K and the `live_per_row` float64 values per row that
+    `reduce` keeps alive within _BLOCK_VALUES.
     """
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
-    if block_rows is None:
-        per_row = 2 * len(basis) + live_per_row
-        block_rows = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_row))
-    for lo in range(0, pts.shape[0], block_rows):
-        yield lo, vandermonde(basis, pts[lo:lo + block_rows])
+    per_row = len(basis) + X.shape[0] + live_per_row
+    step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_row))
+    for lo in range(0, pts.shape[0], step):
+        rows = slice(lo, lo + step)
+        # X on the left: a tall block times a narrow matrix makes OpenBLAS
+        # touch packing buffers (about 60 MB at n = 15) that X B^T avoids
+        yield reduce(rows, X @ vandermonde(basis, pts[rows]).T)
 
 
 def wade_eval(idx, p):

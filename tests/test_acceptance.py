@@ -32,14 +32,9 @@ def _extract(mesh, n, method, steps):
 def _sup_errors_on_control(n, control, coeff_pairs):
     """Per-column sup|V (a - b)| and sup|V b| over the control mesh."""
     basis = polybasis.enumerate_basis(n)
-    diff = np.column_stack([a - b for a, b in coeff_pairs])
-    truth = np.column_stack([b for _, b in coeff_pairs])
-    err = np.zeros(diff.shape[1])
-    scale = np.zeros(diff.shape[1])
-    for _, block in polybasis.iter_vandermonde_blocks(basis, control):
-        np.maximum(err, np.abs(block @ diff).max(axis=0), out=err)
-        np.maximum(scale, np.abs(block @ truth).max(axis=0), out=scale)
-    return err, scale
+    X = np.vstack([[a - b for a, b in coeff_pairs], [b for _, b in coeff_pairs]])
+    sups = polybasis.scan(basis, X, control, lambda _, R: np.abs(R, out=R).max(axis=1))
+    return np.split(np.max(list(sups), axis=0), 2)
 
 
 def test_criterion_1_cardinalities():

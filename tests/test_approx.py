@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -109,16 +111,22 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     one = scans()
     # an empty value budget drops every scan to the 1024-row floor
     monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
-    blocks = []
+    blocks, refs, alive = [], [], []
     build = polybasis.vandermonde
 
     def counted(b, pts):
-        blocks.append(len(pts))
-        return build(b, pts)
+        V = build(b, pts)
+        if np.shares_memory(pts, ctrl.points):
+            # control-mesh blocks built earlier and still referenced now
+            alive.append(sum(ref() is not None for ref in refs))
+            blocks.append(len(pts))
+            refs.append(weakref.ref(V))
+        return V
 
     monkeypatch.setattr(polybasis, "vandermonde", counted)
     many = scans()
     assert blocks.count(1024) == 3 * 4  # per scan: four full blocks, one of 535 rows
+    assert max(alive) == 0  # each block is freed before the next is built
     for a, b in zip(one, many):
         np.testing.assert_allclose(b, a, rtol=1e-12)
     # manual single-shot computation

@@ -42,9 +42,14 @@ def test_extract_degree0(tmp_path):
 
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--mesh", "moebius", "--degree", "3"])
-    assert exc.value.code == 1
+    for argv in (["gen", "--mesh", "moebius", "--degree", "3"],
+                 ["metrics", "--mesh", "wam2", "--degree", "10..5"],
+                 ["metrics", "--mesh", "wam2", "--degree", "3,,4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "'10..5'" in err and "'3,,4'" in err
 
 
 def test_degree_list_rejected_by_single_degree_commands(tmp_path):

@@ -141,12 +141,15 @@ def test_vandermonde_matches_scalar_eval():
         )
 
 
-def test_vandermonde_block_iteration():
-    mesh = meshgen.wam1(4)
+def test_vandermonde_block_iteration(monkeypatch):
+    mesh = meshgen.wam1(12)  # 2197 points
     basis = enumerate_basis(4)
     V = vandermonde(basis, mesh)
-    parts = list(polybasis.iter_vandermonde_blocks(basis, mesh, block_rows=17))
-    assert parts[0][0] == 0 and parts[1][0] == 17
+    # an empty value budget drops the scan to its 1024-row floor
+    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
+    parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh,
+                                lambda rows, R: (rows.start, R.T)))
+    assert [lo for lo, _ in parts] == [0, 1024, 2048]
     np.testing.assert_array_equal(np.vstack([b for _, b in parts]), V)
 
 
