@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import densela, extract, polybasis
+from . import extract, polybasis
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,7 @@ class LsqProjector:
 
 def interpolate(nodes, samples):
     """Interpolant through (nodes, samples); nodes is an ExtractionResult."""
-    samples = np.asarray(samples, dtype=float)
-    basis = polybasis.enumerate_basis(nodes.degree)
-    V = polybasis.vandermonde(basis, nodes.nodes)
-    coeffs = densela.solve(V, samples)
+    coeffs = scipy.linalg.lu_solve(nodes.lu, np.asarray(samples, dtype=float))
     return Interpolant(degree=nodes.degree, nodes=nodes.nodes, coefficients=coeffs)
 
 
@@ -68,22 +65,33 @@ def sup_errors(degree, coefficients, fn, pts):
     return np.max(err, axis=0), np.max(sup_f, axis=0)
 
 
-def _projector_norm(basis, X, pts):
-    """Lebesgue constant max over pts of ||X b(x)||_1 of a linear projector."""
-    norms = polybasis.scan(basis, X, pts, lambda _, G: np.abs(G, out=G).sum(axis=0).max())
-    return float(max(norms))
+def lagrange_matrix(nodes):
+    """(N, N) matrix V(nodes)^-T, which maps the basis values b(x) to the
+    Lagrange values at x; solved with the nodes' one LU factorization."""
+    return scipy.linalg.lu_solve(nodes.lu, np.eye(nodes.count), trans=1)
+
+
+def lsq_matrix(proj):
+    """(M, N) matrix Q P^T, which maps b(x) to the weights of the mesh
+    samples in the least-squares fit at x."""
+    return proj.q @ proj.transform.T
+
+
+def projector_norms(degree, matrices, pts):
+    """Lebesgue constants max over pts of ||X b(x)||_1 of linear projectors.
+
+    Every (K, N) matrix X, in the graded basis of the degree, is reduced
+    against each block of one stream over pts, one product at a time.
+    """
+    basis = polybasis.enumerate_basis(degree)
+    norms = polybasis.scan(basis, list(matrices), pts,
+                           lambda _, G: np.abs(G, out=G).sum(axis=0).max())
+    return [float(v) for v in np.max(list(norms), axis=0)]
 
 
 def lebesgue_constant(nodes, control):
-    """Max over the control mesh of the 1-norm of the Lagrange values.
-
-    The Lagrange values at x are V(nodes)^-T b(x); the inverse comes from
-    a single checked LU factorization of the node Vandermonde.
-    """
-    basis = polybasis.enumerate_basis(nodes.degree)
-    lu_piv = densela.lu_factor_checked(polybasis.vandermonde(basis, nodes.nodes))
-    X = scipy.linalg.lu_solve(lu_piv, np.eye(len(basis)), trans=1)
-    return _projector_norm(basis, X, control)
+    """Max over the control mesh of the 1-norm of the Lagrange values."""
+    return projector_norms(nodes.degree, [lagrange_matrix(nodes)], control)[0]
 
 
 def build_lsq(mesh, n, steps=2):
@@ -93,12 +101,9 @@ def build_lsq(mesh, n, steps=2):
     which needs steps >= 1; one step suffices on well-conditioned bases
     and two make the defect negligible.
     """
-    basis = polybasis.enumerate_basis(n)
-    if mesh.cardinality < len(basis):
-        raise ValueError("mesh too small for the requested degree")
-    V = polybasis.vandermonde(basis, mesh)
-    P = extract.orthogonalize(V, steps).transform
-    return LsqProjector(mesh=mesh, degree=n, transform=P, q=V @ P)
+    V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
+    P, q = extract.precondition(V, steps)
+    return LsqProjector(mesh=mesh, degree=n, transform=P, q=q)
 
 
 def lsq_fit(proj, samples):
@@ -115,5 +120,4 @@ def lsq_norm(proj, eval_on=None):
     Defaults to evaluating on the projector's own mesh.
     """
     pts = proj.mesh if eval_on is None else eval_on
-    basis = polybasis.enumerate_basis(proj.degree)
-    return _projector_norm(basis, proj.q @ proj.transform.T, pts)
+    return projector_norms(proj.degree, [lsq_matrix(proj)], pts)[0]

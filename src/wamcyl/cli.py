@@ -9,6 +9,7 @@ deterministic and ignores it.
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import WamcylError
 
 MESH_CHOICES = ("wam1", "wam2", "disk", "padua", "cheb")
 METHOD_CHOICES = ("afp", "dlp")
+# least-squares projectors are built with two orthogonalization steps
+LSQ_STEPS = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,17 +47,23 @@ def _parse_degrees(spec):
     return degrees
 
 
-def _select(mesh, n, method, steps):
-    if method == "afp":
-        return extract.select_afp(mesh, n, steps)
-    return extract.select_dlp(mesh, n, steps)
-
-
 def _samples(fns, pts):
     """(m, F) values of the functions at an (m, 3) array of points."""
     return np.column_stack(
         [np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float) for fn in fns]
     )
+
+
+def _at_least(lo):
+    """argparse type: an integer >= lo."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def _single_degree(args):
@@ -77,7 +86,8 @@ def cmd_extract(args):
     n = _single_degree(args)
     # a degree-0 extraction still needs a real mesh to select from
     mesh = meshgen.generate_mesh(args.mesh, max(n, 1))
-    sel = _select(mesh, n, args.method, args.ortho_steps)
+    select = extract.select_afp if args.method == "afp" else extract.select_dlp
+    sel = select(mesh, n, args.ortho_steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = fileio.write_extraction_csv(
@@ -87,70 +97,100 @@ def cmd_extract(args):
     return 0
 
 
-def _meshes(family, n, mult):
-    return meshgen.generate_mesh(family, n), meshgen.control_mesh(family, n, mult)
+class DegreeRun:
+    """One degree of one mesh family, each stage built on first use and at
+    most once.  The mesh Vandermonde V and its preconditioned forms V P
+    feed both node selection and the least-squares projector; the
+    selection holds the one LU of its node Vandermonde."""
+
+    def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
+        self.family, self.degree, self.method = family, degree, method
+        self.ortho_steps, self.control_mult = ortho_steps, control_mult
+        self._bases = {}
+
+    @cached_property
+    def mesh(self):
+        return meshgen.generate_mesh(self.family, self.degree)
+
+    def _preconditioned(self, steps):
+        """(P, V P) for `steps` orthogonalization steps of V."""
+        if not self._bases:
+            basis = polybasis.enumerate_basis(self.degree)
+            self._bases["V"] = polybasis.vandermonde(basis, self.mesh)
+        if steps not in self._bases:
+            self._bases[steps] = extract.precondition(self._bases["V"], steps)
+        return self._bases[steps]
+
+    @cached_property
+    def selection(self):
+        _, U = self._preconditioned(self.ortho_steps)
+        return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)
+
+    def projector(self):
+        P, q = self._preconditioned(LSQ_STEPS)
+        return approx.LsqProjector(mesh=self.mesh, degree=self.degree, transform=P, q=q)
+
+    def norms(self, *matrices):
+        """approx.projector_norms of the matrices in one control-mesh pass."""
+        return approx.projector_norms(self.degree, matrices, self._control())
+
+    def _control(self):
+        self._bases.clear()  # the control pass needs none of V, V P and Q
+        return meshgen.control_mesh(self.family, self.degree, self.control_mult)
+
+    def metrics_rows(self):
+        n, method, family = self.degree, self.method, self.family
+        lam, lsq = self.norms(approx.lagrange_matrix(self.selection),
+                              approx.lsq_matrix(self.projector()))
+        return [
+            (n, method, family, "lebesgue", lam),
+            (n, method, family, "cond_inf", densela.cond_2(self.selection.vandermonde)),
+            (n, "lsq", family, "lsq_norm", lsq),
+        ]
+
+    def error_rows(self, refs):
+        """Interpolation, least-squares and cubature errors of the functions
+        in refs, which maps function ids to reference integrals.
+
+        The interpolation and least-squares coefficients of all functions
+        are stacked, so a single stream over the control mesh yields every
+        sup norm.
+        """
+        n, method, family, sel = self.degree, self.method, self.family, self.selection
+        fns = [testfns.get_function(fid).fn for fid in refs]
+        rule = cubature.cubature_weights(sel)
+        interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
+        fit = approx.lsq_fit(self.projector(), _samples(fns, self.mesh.points))
+        err, sup_f = approx.sup_errors(n, np.hstack([interp, fit]),
+                                       lambda pts: np.tile(_samples(fns, pts), 2), self._control())
+        rel = (err / sup_f).reshape(2, len(fns))
+        rows = []
+        for i, (fid, fn) in enumerate(zip(refs, fns)):
+            cub_err = abs(cubature.apply_rule(rule, fn) - refs[fid]) / abs(refs[fid])
+            rows.extend([
+                (n, method, family, f"interp_err_{fid}", rel[0, i]),
+                (n, method, family, f"lsq_err_{fid}", rel[1, i]),
+                (n, method, family, f"cub_err_{fid}", cub_err),
+            ])
+        return rows
 
 
-def _node_metrics(mesh, control, method, steps):
-    """Lebesgue constant on the control mesh and cond_2 of the node Vandermonde."""
-    n = mesh.degree
-    sel = _select(mesh, n, method, steps)
-    lam = approx.lebesgue_constant(sel, control)
-    V = polybasis.vandermonde(polybasis.enumerate_basis(n), sel.nodes)
-    return lam, densela.cond_2(V)
+def _runs(args):
+    """The DegreeRun of every degree, each built as it is consumed."""
+    if min(args.degree) < 1:
+        raise ValueError(f"{args.command} needs degree >= 1")
+    return (DegreeRun(args.mesh, n, args.method, args.ortho_steps, args.control_mult)
+            for n in args.degree)
 
 
-def _lsq_norm(mesh, control):
-    """Operator norm on the control mesh of the least-squares projector."""
-    proj = approx.build_lsq(mesh, mesh.degree, steps=2)
-    return approx.lsq_norm(proj, eval_on=control)
-
-
-def _metrics_rows(family, n, method, steps, mult):
-    mesh, control = _meshes(family, n, mult)
-    lam, kappa = _node_metrics(mesh, control, method, steps)
-    return [
-        (n, method, family, "lebesgue", lam),
-        (n, method, family, "cond_inf", kappa),
-        (n, "lsq", family, "lsq_norm", _lsq_norm(mesh, control)),
-    ]
-
-
-def _error_rows(family, n, method, steps, mult, fids, refs):
-    """Interpolation, least-squares and cubature errors of every function.
-
-    The interpolation and least-squares coefficients of all functions are
-    stacked, so a single stream over the control mesh yields every sup norm.
-    """
-    mesh, control = _meshes(family, n, mult)
-    sel = _select(mesh, n, method, steps)
-    rule = cubature.cubature_weights(sel)
-    fns = [testfns.get_function(fid).fn for fid in fids]
-    interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
-    fit = approx.lsq_fit(approx.build_lsq(mesh, n, steps=2), _samples(fns, mesh.points))
-    err, sup_f = approx.sup_errors(
-        n, np.hstack([interp, fit]), lambda pts: np.tile(_samples(fns, pts), 2), control
-    )
-    rel = (err / sup_f).reshape(2, len(fns))
-    rows = []
-    for i, (fid, fn) in enumerate(zip(fids, fns)):
-        cub_err = abs(cubature.apply_rule(rule, fn) - refs[fid]) / abs(refs[fid])
-        rows.extend([
-            (n, method, family, f"interp_err_{fid}", rel[0, i]),
-            (n, method, family, f"lsq_err_{fid}", rel[1, i]),
-            (n, method, family, f"cub_err_{fid}", cub_err),
-        ])
-    return rows
-
-
-def _write_rows(args, row_fn, jobs):
-    """Run row_fn(*job) for every job, in args.jobs processes; sort, append
-    to results.csv and print the rows."""
+def _write_rows(args, row_fn, runs):
+    """Run row_fn(run) for every DegreeRun, in args.jobs processes; sort,
+    append to results.csv and print the rows."""
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(row_fn, *zip(*jobs)))
+            parts = list(pool.map(row_fn, runs))
     else:
-        parts = [row_fn(*job) for job in jobs]
+        parts = [row_fn(run) for run in runs]
     rows = sorted((row for part in parts for row in part), key=lambda r: (r[0], r[1], r[3]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,22 +202,15 @@ def _write_rows(args, row_fn, jobs):
 
 
 def cmd_metrics(args):
-    if min(args.degree) < 1:
-        raise ValueError("metrics needs degree >= 1")
-    jobs = [(args.mesh, n, args.method, args.ortho_steps, args.control_mult)
-            for n in args.degree]
-    return _write_rows(args, _metrics_rows, jobs)
+    return _write_rows(args, DegreeRun.metrics_rows, _runs(args))
 
 
 def cmd_errors(args):
-    if min(args.degree) < 1:
-        raise ValueError("errors needs degree >= 1")
+    runs = _runs(args)
     # oracle references do not depend on the degree: computed once, here
-    tfs = {fid: testfns.get_function(fid) for fid in args.function}
+    tfs = {fid: testfns.get_function(fid) for fid in args.function or ["f3"]}
     refs = {fid: cubature.oracle_integral(tf.fn, tf.oracle_tol) for fid, tf in tfs.items()}
-    jobs = [(args.mesh, n, args.method, args.ortho_steps, args.control_mult,
-             args.function, refs) for n in args.degree]
-    return _write_rows(args, _error_rows, jobs)
+    return _write_rows(args, partial(DegreeRun.error_rows, refs=refs), runs)
 
 
 _TABLE_CONFIG = {
@@ -193,30 +226,27 @@ REPRODUCE_SLOW_EXTRA = [25, 30]
 
 def cmd_reproduce(args):
     degrees = REPRODUCE_DEGREES + (REPRODUCE_SLOW_EXTRA if args.slow else [])
-    # extraction without preconditioning mirrors the source experiments;
-    # --ortho-steps overrides
-    steps = args.ortho_steps if args.ortho_steps is not None else 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = []
     if args.table == 5:
-        rows = []
         for n in degrees:
-            vals = [n] + [_lsq_norm(*_meshes(family, n, args.control_mult))
-                          for family in ("wam1", "wam2")]
+            runs = [DegreeRun(family, n, control_mult=args.control_mult)
+                    for family in ("wam1", "wam2")]
+            vals = [n] + [run.norms(approx.lsq_matrix(run.projector()))[0] for run in runs]
             rows.append(vals)
             print(f"n={n}: wam1 {vals[1]:.4g}  wam2 {vals[2]:.4g}")
-        path = fileio.write_table_csv(out / "table5.csv",
-                                      ("n", "lsq_norm_wam1", "lsq_norm_wam2"), rows)
+        header = ("n", "lsq_norm_wam1", "lsq_norm_wam2")
     else:
         family, method = _TABLE_CONFIG[args.table]
-        rows = []
         for n in degrees:
-            mesh, control = _meshes(family, n, args.control_mult)
-            lam, kappa = _node_metrics(mesh, control, method, steps)
+            run = DegreeRun(family, n, method, args.ortho_steps, args.control_mult)
+            (lam,) = run.norms(approx.lagrange_matrix(run.selection))
+            kappa = densela.cond_2(run.selection.vandermonde)
             rows.append((n, lam, kappa))
             print(f"n={n}: lebesgue {lam:.4g}  cond {kappa:.4g}")
-        path = fileio.write_table_csv(out / f"table{args.table}.csv",
-                                      ("n", "lebesgue", "cond_inf"), rows)
+        header = ("n", "lebesgue", "cond_inf")
+    path = fileio.write_table_csv(out / f"table{args.table}.csv", header, rows)
     print(f"table {args.table} -> {path}")
     return 0
 
@@ -231,12 +261,12 @@ def build_parser():
                        help="degree, list '5,10' or range '5..20'")
         if method:
             p.add_argument("--method", choices=METHOD_CHOICES, default="afp")
-            p.add_argument("--ortho-steps", type=int, default=2,
+            p.add_argument("--ortho-steps", type=_at_least(0), default=2,
                            help="orthogonalization steps for extraction (default 2)")
         if scans:
-            p.add_argument("--control-mult", type=int, default=None,
+            p.add_argument("--control-mult", type=_at_least(1), default=None,
                            help="override the control-mesh degree multiplier")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_at_least(1), default=1)
         p.add_argument("--out", default="out")
 
     p = sub.add_parser("gen", help="generate a mesh CSV + JSON sidecar")
@@ -260,9 +290,10 @@ def build_parser():
     p = sub.add_parser("reproduce", help="reproduce a results table")
     p.add_argument("--table", type=int, choices=(1, 2, 3, 4, 5), required=True)
     p.add_argument("--slow", action="store_true", help="include degrees 25 and 30")
-    p.add_argument("--ortho-steps", type=int, default=None,
+    # extraction without preconditioning mirrors the source experiments
+    p.add_argument("--ortho-steps", type=_at_least(0), default=0,
                    help="extraction preconditioning steps (default 0 here)")
-    p.add_argument("--control-mult", type=int, default=None)
+    p.add_argument("--control-mult", type=_at_least(1), default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -271,8 +302,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "function", "skip") is None:
-        args.function = ["f3"]
     try:
         return args.func(args)
     except WamcylError as exc:

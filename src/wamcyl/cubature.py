@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from . import densela, polybasis
+from . import polybasis
 from .errors import ConvergenceError
 
 ORACLE_START_LEVEL = 4
@@ -96,14 +96,12 @@ def moments_wade(n):
 def cubature_weights(nodes):
     """Moment-fitting weights at the extracted nodes: solve V^T w = b.
 
-    One iterative-refinement pass tightens the constant-moment residual.
+    The solves use the nodes' LU factors of V; one iterative-refinement
+    pass tightens the constant-moment residual.
     """
-    basis = polybasis.enumerate_basis(nodes.degree)
-    V = polybasis.vandermonde(basis, nodes.nodes)
     b = moments_wade(nodes.degree)
-    lu_piv = densela.lu_factor_checked(V.T)
-    w = scipy.linalg.lu_solve(lu_piv, b)
-    w = w + scipy.linalg.lu_solve(lu_piv, b - V.T @ w)
+    w = scipy.linalg.lu_solve(nodes.lu, b, trans=1)
+    w = w + scipy.linalg.lu_solve(nodes.lu, b - nodes.vandermonde.T @ w, trans=1)
     return CubatureRule(nodes=nodes.nodes, weights=w, degree=nodes.degree)
 
 

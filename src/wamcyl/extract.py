@@ -9,6 +9,7 @@ selection depends on the basis ordering, which the graded ordering of
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,17 @@ class ExtractionResult:
     def count(self):
         return self.indices.size
 
+    @cached_property
+    def vandermonde(self):
+        """Node Vandermonde V(nodes) of the graded basis, built once."""
+        return polybasis.vandermonde(polybasis.enumerate_basis(self.degree), self.nodes)
+
+    @cached_property
+    def lu(self):
+        """Checked LU factors of the node Vandermonde, factored once for
+        interpolation, cubature weights and the Lebesgue constant."""
+        return densela.lu_factor_checked(self.vandermonde)
+
 
 def orthogonalize(V, steps):
     """Iterated QR orthogonalization of the basis on the mesh.
@@ -48,7 +60,9 @@ def orthogonalize(V, steps):
     V = np.asarray(V, dtype=float)
     m, n = V.shape
     if m < n:
-        raise ValueError("mesh must have at least as many points as basis elements")
+        raise ValueError(f"mesh of {m} points cannot support {n} basis elements")
+    if steps < 0:
+        raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
     P = np.eye(n)
     cur = V
     for _ in range(steps):
@@ -64,55 +78,38 @@ def orthogonalize(V, steps):
     return OrthoBasis(transform=P, steps=steps)
 
 
-def _preconditioned_vandermonde(mesh, n, ortho_steps):
-    basis = polybasis.enumerate_basis(n)
-    if mesh.cardinality < len(basis):
-        raise ValueError(
-            f"mesh of {mesh.cardinality} points cannot support degree {n} "
-            f"({len(basis)} basis elements)"
-        )
-    V = polybasis.vandermonde(basis, mesh)
-    if ortho_steps == 0:
-        return V
-    P = orthogonalize(V, ortho_steps).transform
-    return V @ P
+def precondition(V, steps):
+    """(P, V P): the transform of `steps` orthogonalization steps of the
+    mesh Vandermonde V and the preconditioned Vandermonde, V itself for
+    steps = 0.  Node selection and the least-squares projector share it."""
+    P = orthogonalize(V, steps).transform
+    return P, (V @ P if steps else V)
+
+
+def select_nodes(mesh, n, method, U, ortho_steps):
+    """Degree-n nodes from the rows of U, the preconditioned Vandermonde of
+    the mesh, in greedy selection order: column-pivoted QR of U^T for
+    'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'."""
+    N = U.shape[1]
+    if method == "afp":
+        rec = densela.qr_col_pivot(U.T, steps=N)
+    else:
+        rec = densela.lu_row_pivot(U)
+    idx = np.array(rec.order[:N])
+    return ExtractionResult(method=method, degree=n, ortho_steps=ortho_steps,
+                            mesh_family=mesh.family, indices=idx, nodes=mesh.points[idx])
+
+
+def _select(mesh, n, method, ortho_steps):
+    _, U = precondition(polybasis.vandermonde(polybasis.enumerate_basis(n), mesh), ortho_steps)
+    return select_nodes(mesh, n, method, U, ortho_steps)
 
 
 def select_afp(mesh, n, ortho_steps=2):
-    """Approximate Fekete points of degree n extracted from the mesh.
-
-    Column-pivoted QR of the transposed (preconditioned) Vandermonde; the
-    returned node order is the greedy selection order.
-    """
-    U = _preconditioned_vandermonde(mesh, n, ortho_steps)
-    N = U.shape[1]
-    rec = densela.qr_col_pivot(U.T, steps=N)
-    idx = np.array(rec.order[:N])
-    return ExtractionResult(
-        method="afp",
-        degree=n,
-        ortho_steps=ortho_steps,
-        mesh_family=mesh.family,
-        indices=idx,
-        nodes=mesh.points[idx],
-    )
+    """Approximate Fekete points of degree n extracted from the mesh."""
+    return _select(mesh, n, "afp", ortho_steps)
 
 
 def select_dlp(mesh, n, ortho_steps=2):
-    """Discrete Leja points of degree n extracted from the mesh.
-
-    Row-pivoted LU of the (preconditioned) Vandermonde; the first N
-    permuted rows are the nodes, in elimination order.
-    """
-    U = _preconditioned_vandermonde(mesh, n, ortho_steps)
-    N = U.shape[1]
-    rec = densela.lu_row_pivot(U)
-    idx = np.array(rec.order[:N])
-    return ExtractionResult(
-        method="dlp",
-        degree=n,
-        ortho_steps=ortho_steps,
-        mesh_family=mesh.family,
-        indices=idx,
-        nodes=mesh.points[idx],
-    )
+    """Discrete Leja points of degree n extracted from the mesh."""
+    return _select(mesh, n, "dlp", ortho_steps)

@@ -138,20 +138,26 @@ def _validate_points(pts):
 def scan(basis, X, mesh, reduce, live_per_row=0):
     """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per row block.
 
-    X is (K, N) with N = len(basis).  Only the reduction leaves the
-    generator, so each block and its (K, m) product are freed before the
-    next block is built.  Rows per block keep the block's N values, the
-    product's K and the `live_per_row` float64 values per row that
-    `reduce` keeps alive within _BLOCK_VALUES.
+    X is (K, N) with N = len(basis), or a list of such matrices: each block
+    then yields the list of their reductions, every (K, m) product formed
+    and reduced before the next.  Only the reductions leave the generator,
+    so each block and its products are freed before the next block is
+    built.  Rows per block keep the block's N values, the largest K and
+    the `live_per_row` float64 values per row that `reduce` keeps alive
+    within _BLOCK_VALUES.
     """
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
-    per_row = len(basis) + X.shape[0] + live_per_row
+    Xs = X if isinstance(X, list) else [X]
+    per_row = len(basis) + max(x.shape[0] for x in Xs) + live_per_row
     step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_row))
     for lo in range(0, pts.shape[0], step):
         rows = slice(lo, lo + step)
+        BT = vandermonde(basis, pts[rows]).T
         # X on the left: a tall block times a narrow matrix makes OpenBLAS
         # touch packing buffers (about 60 MB at n = 15) that X B^T avoids
-        yield reduce(rows, X @ vandermonde(basis, pts[rows]).T)
+        out = [reduce(rows, x @ BT) for x in Xs]
+        del BT  # not held across the yield, while the next block is built
+        yield out if isinstance(X, list) else out[0]
 
 
 def wade_eval(idx, p):

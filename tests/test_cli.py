@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from wamcyl import approx, extract, meshgen, testfns
+from wamcyl import approx, densela, extract, meshgen, polybasis, testfns
 from wamcyl.cli import main
 
 
@@ -50,6 +51,19 @@ def test_usage_error_exits_1(capsys):
         assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "'10..5'" in err and "'3,,4'" in err
+    # nonsensical counts are rejected at parse time, naming the flag
+    for flag, argv in (("--jobs", ["metrics", "--jobs", "0"]),
+                       ("--jobs", ["metrics", "--jobs", "-2"]),
+                       ("--ortho-steps", ["extract", "--ortho-steps", "-1"]),
+                       ("--ortho-steps", ["errors", "--ortho-steps", "-5"]),
+                       ("--control-mult", ["metrics", "--control-mult", "0"]),
+                       ("--ortho-steps", ["reproduce", "--table", "1", "--ortho-steps", "-1"])):
+        if argv[0] != "reproduce":
+            argv = argv + ["--mesh", "wam2", "--degree", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_degree_list_rejected_by_single_degree_commands(tmp_path):
@@ -83,6 +97,80 @@ def test_metrics_rows(tmp_path, capsys):
     assert 19 / 2 <= by_q["lebesgue"] <= 19 * 2
     assert 19.4 / 2 <= by_q["cond_inf"] <= 19.4 * 2
     assert 7.2 / 2 <= by_q["lsq_norm"] <= 7.2 * 2
+    # the fused control pass reproduces each quantity computed on its own
+    mesh, control = meshgen.wam2(5), meshgen.control_mesh("wam2", 5)
+    sel = extract.select_afp(mesh, 5, ortho_steps=0)
+    V = polybasis.vandermonde(polybasis.enumerate_basis(5), sel.nodes)
+    assert by_q["lebesgue"] == pytest.approx(approx.lebesgue_constant(sel, control), rel=1e-12)
+    assert by_q["cond_inf"] == pytest.approx(densela.cond_2(V), rel=1e-12)
+    lsq = approx.lsq_norm(approx.build_lsq(mesh, 5), eval_on=control)
+    assert by_q["lsq_norm"] == pytest.approx(lsq, rel=1e-12)
+
+
+def _blake(pts):
+    pts = np.asarray(getattr(pts, "points", pts))
+    return hashlib.blake2b(pts.tobytes(), digest_size=16).hexdigest()
+
+
+def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
+    # per degree: one mesh Vandermonde (no Vandermonde is ever rebuilt),
+    # one orthogonalization shared by selection and least squares under
+    # the default --ortho-steps 2, one LU of the node Vandermonde and one
+    # pass over the control mesh
+    built, counts = {}, {"ortho": 0, "lu": 0, "scan": 0}
+    vandermonde, orthogonalize = polybasis.vandermonde, extract.orthogonalize
+    lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
+
+    def counted_vandermonde(basis, pts):
+        key = (_blake(pts), basis.degree)
+        built[key] = built.get(key, 0) + 1
+        return vandermonde(basis, pts)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(polybasis, "vandermonde", counted_vandermonde)
+    monkeypatch.setattr(extract, "orthogonalize", counter("ortho", orthogonalize))
+    monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
+    monkeypatch.setattr(polybasis, "scan", counter("scan", scan))
+    degrees = (2, 3)
+    for argv in (["metrics", "--mesh", "wam2", "--method", "afp"],
+                 ["errors", "--mesh", "wam1", "--method", "dlp", "--function", "f3",
+                  "--function", "f6"]):
+        built.clear()
+        counts.update(ortho=0, lu=0, scan=0)
+        assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
+        meshes = [meshgen.generate_mesh(argv[2], n) for n in degrees]
+        assert all(built.get((_blake(m), m.degree)) == 1 for m in meshes)
+        assert max(built.values()) == 1
+        assert counts == {"ortho": 2, "lu": 2, "scan": 2}
+
+
+def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
+    import wamcyl.cli as cli
+
+    monkeypatch.setattr(cli, "REPRODUCE_DEGREES", [3])
+    orthogonalize = extract.orthogonalize
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stage built for a table that does not use it")
+
+    def no_lsq(V, steps):
+        # tables 1-4 extract with zero steps; only a projector orthogonalizes
+        if steps:
+            forbidden()
+        return orthogonalize(V, steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(extract, "orthogonalize", no_lsq)
+        assert main(["reproduce", "--table", "3", "--out", str(tmp_path)]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(densela, "qr_col_pivot", forbidden)
+        m.setattr(densela, "lu_row_pivot", forbidden)
+        assert main(["reproduce", "--table", "5", "--out", str(tmp_path)]) == 0
 
 
 def test_errors_const1(tmp_path):

@@ -28,6 +28,11 @@ def test_orthogonalize_orthonormal_input():
     assert np.abs(np.abs(P) - np.eye(8)).max() < 1e-10  # up to column signs
 
 
+def test_orthogonalize_negative_steps():
+    with pytest.raises(ValueError):
+        orthogonalize(np.eye(4), -1)
+
+
 def test_orthogonalize_rank_deficient():
     V = np.ones((10, 3))
     with pytest.raises(RankDeficiencyError):

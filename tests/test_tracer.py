@@ -1,0 +1,41 @@
+"""Smoke test of the benchmark's span tracer (perfbench/spans.py) against
+the current library: it records shape-derived work from the positional
+arguments of some functions, so a signature drift there would crash every
+traced benchmark pass."""
+
+import importlib.util
+from pathlib import Path
+
+from wamcyl import approx, cli, extract, meshgen
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_runs_cli_commands(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        base = ["--mesh", "wam2", "--degree", "3", "--ortho-steps", "0", "--out", str(tmp_path)]
+        assert cli.main(["extract", "--method", "dlp"] + base) == 0
+        assert cli.main(["metrics", "--method", "afp"] + base) == 0
+        assert cli.main(["errors", "--method", "afp", "--function", "f1"] + base) == 0
+        # the functions whose arguments the tracer unpacks, called as the
+        # library documents them
+        mesh, control = meshgen.wam2(3), meshgen.control_mesh("wam2", 3)
+        approx.lebesgue_constant(extract.select_afp(mesh, 3), control)
+        approx.lsq_norm(approx.build_lsq(mesh, 3), eval_on=control)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans
+    assert not [s[2] for s in tracer.spans if s[5]]
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["cli.calls"] > 0 and metrics["approx.lebesgue_constant.self_s"] > 0
+    assert spans.cells(tracer.spans)
