@@ -29,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     WamcylError,
 )
-from .extract import ExtractionResult, OrthoBasis, orthogonalize, select_afp, select_dlp
+from .extract import ExtractionResult, orthogonalize, select_afp, select_dlp
 from .meshgen import (
     Mesh,
     cheb_lobatto,

@@ -1,15 +1,12 @@
 """Command-line interface: mesh generation, node extraction, metrics,
 error curves, and table reproduction.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.  The
-WAMCYL_SEED environment variable is reserved; every computation here is
-deterministic and ignores it.
+Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,14 +181,10 @@ def _runs(args):
 
 
 def _write_rows(args, row_fn, runs):
-    """Run row_fn(run) for every DegreeRun, in args.jobs processes; sort,
-    append to results.csv and print the rows."""
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(row_fn, runs))
-    else:
-        parts = [row_fn(run) for run in runs]
-    rows = sorted((row for part in parts for row in part), key=lambda r: (r[0], r[1], r[3]))
+    """Run row_fn(run) for every DegreeRun as it is consumed, so a finished
+    degree is freed before the next is built; sort, append to results.csv
+    and print the rows."""
+    rows = sorted((row for run in runs for row in row_fn(run)), key=lambda r: (r[0], r[1], r[3]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = fileio.append_results(out / "results.csv", rows)
@@ -206,11 +199,11 @@ def cmd_metrics(args):
 
 
 def cmd_errors(args):
-    runs = _runs(args)
+    runs = _runs(args)  # checks the degrees before any oracle runs
     # oracle references do not depend on the degree: computed once, here
     tfs = {fid: testfns.get_function(fid) for fid in args.function or ["f3"]}
     refs = {fid: cubature.oracle_integral(tf.fn, tf.oracle_tol) for fid, tf in tfs.items()}
-    return _write_rows(args, partial(DegreeRun.error_rows, refs=refs), runs)
+    return _write_rows(args, lambda run: run.error_rows(refs), runs)
 
 
 _TABLE_CONFIG = {
@@ -266,7 +259,6 @@ def build_parser():
         if scans:
             p.add_argument("--control-mult", type=_at_least(1), default=None,
                            help="override the control-mesh degree multiplier")
-            p.add_argument("--jobs", type=_at_least(1), default=1)
         p.add_argument("--out", default="out")
 
     p = sub.add_parser("gen", help="generate a mesh CSV + JSON sidecar")

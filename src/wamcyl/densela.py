@@ -39,7 +39,7 @@ def qr_col_pivot(A, steps=None):
     Returns the full column permutation; the first `steps` entries are the
     greedy pivots (steps defaults to the row count).
     """
-    A = np.ascontiguousarray(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     n_rows, n_cols = A.shape
     if n_rows > n_cols:
         raise ValueError("need at least as many columns as rows")
@@ -54,24 +54,6 @@ def qr_col_pivot(A, steps=None):
             f"pivot column norm below {RANK_TOL:g} of the largest column"
         )
     return PivotRecord(order=piv, magnitudes=mags)
-
-
-def _lu_eliminate_numpy(U, perm, mags, tol_abs):
-    # one multiply and one subtract per entry, first-max pivot search
-    n_rows, n_cols = U.shape
-    for k in range(n_cols):
-        col = np.abs(U[k:, k])
-        p = k + int(np.argmax(col))
-        mags[k] = col[p - k]
-        if mags[k] < tol_abs:
-            return k
-        if p != k:
-            U[[k, p]] = U[[p, k]]
-            perm[k], perm[p] = perm[p], perm[k]
-        if k + 1 < n_rows:
-            mult = U[k + 1 :, k] / U[k, k]
-            U[k + 1 :, k + 1 :] -= mult[:, None] * U[k, k + 1 :]
-    return -1
 
 
 def lu_row_pivot(A):
@@ -89,11 +71,22 @@ def lu_row_pivot(A):
     scale = np.abs(U).max(initial=0.0)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
+    tol_abs = RANK_TOL * scale
     perm = np.arange(n_rows)
     mags = np.empty(n_cols)
-    bad = _lu_eliminate_numpy(U, perm, mags, RANK_TOL * scale)
-    if bad >= 0:
-        raise SingularMatrixError(f"pivot {mags[bad]:g} below tolerance at column {bad}")
+    # one multiply and one subtract per entry, first-max pivot search
+    for k in range(n_cols):
+        col = np.abs(U[k:, k])
+        p = k + int(np.argmax(col))
+        mags[k] = col[p - k]
+        if mags[k] < tol_abs:
+            raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
+        if p != k:
+            U[[k, p]] = U[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
+        if k + 1 < n_rows:
+            mult = U[k + 1 :, k] / U[k, k]
+            U[k + 1 :, k + 1 :] -= mult[:, None] * U[k, k + 1 :]
     return PivotRecord(order=perm, magnitudes=mags)
 
 

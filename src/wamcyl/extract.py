@@ -19,14 +19,6 @@ from .errors import RankDeficiencyError
 
 
 @dataclass(frozen=True)
-class OrthoBasis:
-    """Transform P such that V @ P has (numerically) orthonormal columns."""
-
-    transform: np.ndarray = field(repr=False)
-    steps: int = 0
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
     method: str
     degree: int
@@ -54,7 +46,8 @@ class ExtractionResult:
 def orthogonalize(V, steps):
     """Iterated QR orthogonalization of the basis on the mesh.
 
-    Accumulates the product of inverse triangular factors from `steps`
+    Returns the transform P such that V @ P has (numerically) orthonormal
+    columns: the product of inverse triangular factors from `steps`
     successive QR factorizations; steps = 0 returns the identity.
     """
     V = np.asarray(V, dtype=float)
@@ -75,14 +68,14 @@ def orthogonalize(V, steps):
             raise RankDeficiencyError("basis is rank deficient on this mesh")
         P = P @ scipy.linalg.solve_triangular(R, np.eye(n))
         cur = Q
-    return OrthoBasis(transform=P, steps=steps)
+    return P
 
 
 def precondition(V, steps):
     """(P, V P): the transform of `steps` orthogonalization steps of the
     mesh Vandermonde V and the preconditioned Vandermonde, V itself for
     steps = 0.  Node selection and the least-squares projector share it."""
-    P = orthogonalize(V, steps).transform
+    P = orthogonalize(V, steps)
     return P, (V @ P if steps else V)
 
 

@@ -1,16 +1,13 @@
-"""CSV / JSON emission and parsing for meshes, nodes, rules and results.
+"""CSV / JSON emission for meshes, nodes, tables and results.
 
 All floating-point fields are written with 17 significant digits, which
-round-trips IEEE doubles exactly.
+round-trips IEEE doubles exactly.  Every file goes through one writer;
+the public writers hold the formats: headers and sidecar schemas.
 """
 
 import csv
 import json
 from pathlib import Path
-
-import numpy as np
-
-from . import meshgen
 
 RESULTS_HEADER = ("n", "method", "mesh", "quantity", "value")
 
@@ -19,40 +16,27 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def _sidecar_path(path):
-    return Path(path).with_suffix(".json")
-
-
-def write_mesh_csv(path, mesh):
+def _write(path, header, rows, meta=None, mode="w"):
+    """Write rows under header, floats through fmt and the header only when
+    the file starts empty; write meta to a JSON sidecar when given."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open(mode, newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(("x", "y", "z"))
-        for row in mesh.points:
-            w.writerow((fmt(row[0]), fmt(row[1]), fmt(row[2])))
-    meta = {"family": mesh.family, "degree": mesh.degree, "cardinality": mesh.cardinality}
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+        if fh.tell() == 0:
+            w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+    if meta is not None:
+        path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
     return path
 
 
-def read_mesh_csv(path):
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["x", "y", "z"]:
-        raise ValueError(f"{path} is not a mesh CSV")
-    pts = np.array([[float(v) for v in row] for row in rows[1:]])
-    return meshgen.Mesh(meta["family"], meta["degree"], pts)
+def write_mesh_csv(path, mesh):
+    meta = {"family": mesh.family, "degree": mesh.degree, "cardinality": mesh.cardinality}
+    return _write(path, ("x", "y", "z"), mesh.points, meta)
 
 
 def write_extraction_csv(path, result):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("x", "y", "z"))
-        for row in result.nodes:
-            w.writerow((fmt(row[0]), fmt(row[1]), fmt(row[2])))
     meta = {
         "method": result.method,
         "degree": result.degree,
@@ -60,48 +44,14 @@ def write_extraction_csv(path, result):
         "ortho_steps": result.ortho_steps,
         "cardinality": result.count,
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
-    return path
-
-
-def write_rule_csv(path, rule, method, mesh_family):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("x", "y", "z", "w"))
-        for row, wt in zip(rule.nodes, rule.weights):
-            w.writerow((fmt(row[0]), fmt(row[1]), fmt(row[2]), fmt(wt)))
-    meta = {
-        "degree": rule.degree,
-        "method": method,
-        "mesh": mesh_family,
-        "sum_weights": rule.sum_weights,
-        "min_weight": rule.min_weight,
-        "stability": rule.stability,
-    }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
-    return path
+    return _write(path, ("x", "y", "z"), result.nodes, meta)
 
 
 def append_results(path, rows):
     """Append (n, method, mesh, quantity, value) rows, writing the header
     when the file is new."""
-    path = Path(path)
-    new = not path.exists()
-    with path.open("a", newline="") as fh:
-        w = csv.writer(fh)
-        if new:
-            w.writerow(RESULTS_HEADER)
-        for n, method, mesh, quantity, value in rows:
-            w.writerow((n, method, mesh, quantity, fmt(value)))
-    return path
+    return _write(path, RESULTS_HEADER, rows, mode="a")
 
 
 def write_table_csv(path, header, rows):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([row[0]] + [fmt(v) for v in row[1:]])
-    return path
+    return _write(path, header, rows)

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wamcyl import approx, densela, extract, meshgen, polybasis, testfns
+import wamcyl
+from wamcyl import approx, cubature, densela, extract, meshgen, polybasis, testfns
 from wamcyl.cli import main
 
 
@@ -52,9 +57,7 @@ def test_usage_error_exits_1(capsys):
     err = capsys.readouterr().err
     assert "'10..5'" in err and "'3,,4'" in err
     # nonsensical counts are rejected at parse time, naming the flag
-    for flag, argv in (("--jobs", ["metrics", "--jobs", "0"]),
-                       ("--jobs", ["metrics", "--jobs", "-2"]),
-                       ("--ortho-steps", ["extract", "--ortho-steps", "-1"]),
+    for flag, argv in (("--ortho-steps", ["extract", "--ortho-steps", "-1"]),
                        ("--ortho-steps", ["errors", "--ortho-steps", "-5"]),
                        ("--control-mult", ["metrics", "--control-mult", "0"]),
                        ("--ortho-steps", ["reproduce", "--table", "1", "--ortho-steps", "-1"])):
@@ -64,6 +67,36 @@ def test_usage_error_exits_1(capsys):
             main(argv)
         assert exc.value.code == 1
         assert f"argument {flag}:" in capsys.readouterr().err
+    # every command runs its degrees in one process: there is no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--mesh", "wam2", "--degree", "3", "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m wamcyl` passes main's exit code to the shell
+    src = str(Path(wamcyl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "wamcyl", *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True).returncode
+
+    assert run("extract", "--mesh", "wam1", "--degree", "2") == 0
+    assert (tmp_path / "wam12_afp.csv").exists()
+    assert run("extract", "--mesh", "moebius", "--degree", "2") == 1
+    assert run("extract", "--mesh", "disk", "--degree", "1") == 2
+
+
+def test_errors_checks_degrees_before_any_oracle(tmp_path, monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("oracle reference computed for a rejected degree")
+
+    monkeypatch.setattr(cubature, "oracle_integral", oracle)
+    code = main(["errors", "--mesh", "wam1", "--degree", "0", "--out", str(tmp_path)])
+    assert code == 1
 
 
 def test_degree_list_rejected_by_single_degree_commands(tmp_path):
@@ -234,24 +267,3 @@ def test_reproduce_writes_tables(tmp_path, monkeypatch):
     rows5 = _csv_rows(tmp_path / "table5.csv")
     assert rows5[0] == ["n", "lsq_norm_wam1", "lsq_norm_wam2"]
     assert 7.2 / 2 <= float(rows5[2][2]) <= 7.2 * 2
-
-
-def test_jobs_flag_parses(tmp_path):
-    code = main(["metrics", "--mesh", "wam2", "--degree", "3", "--method", "dlp",
-                 "--jobs", "1", "--ortho-steps", "0", "--out", str(tmp_path)])
-    assert code == 0
-
-
-def test_parallel_jobs_match_serial(tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    base = ["metrics", "--mesh", "wam2", "--degree", "2,3", "--method", "afp",
-            "--ortho-steps", "0"]
-    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
-    errors = ["errors", "--mesh", "wam1", "--degree", "2,3", "--method", "dlp",
-              "--function", "f3", "--function", "const1"]
-    assert main(errors + ["--jobs", "1", "--out", str(serial / "e")]) == 0
-    assert main(errors + ["--jobs", "2", "--out", str(parallel / "e")]) == 0
-    assert ((serial / "e" / "results.csv").read_bytes()
-            == (parallel / "e" / "results.csv").read_bytes())
