@@ -3,9 +3,12 @@
 Coefficients always live in the graded cylinder basis, even when a
 least-squares projector was built through a preconditioning transform, so
 interpolants can be evaluated and compared across modules.  Sup norms over
-large control meshes are reductions of X V(block)^T over one stream of
-blocks (polybasis.scan); the maximum is order-independent, so blocking
-never changes results.
+large control meshes are reductions of X b(x) over one stream of point
+blocks (polybasis.scan).  On wam1/wam2 meshes the stream runs slab by slab
+and z node by z node, contracting X with the z factors of the basis
+first; the maximum is order-independent, so neither the blocking nor the
+order of the points changes results.  Values wanted in point order come
+from the ordered stream over the plain point array.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +44,9 @@ def eval_interpolant(q, pts):
     """Values of the interpolant at the given points (Mesh or array)."""
     basis = polybasis.enumerate_basis(q.degree)
     C = q.coefficients
-    parts = polybasis.scan(basis, C.reshape(len(basis), -1).T, pts, lambda _, R: R.T)
+    # the ordered stream: values come back in the order of the points
+    parts = polybasis.scan(basis, C.reshape(len(basis), -1).T, getattr(pts, "points", pts),
+                           lambda _, R: R.T)
     return np.concatenate(list(parts)).reshape((-1,) + C.shape[1:])
 
 
@@ -53,11 +58,10 @@ def sup_errors(degree, coefficients, fn, pts):
     single stream over pts.  Returns (err, sup_f), each of length K.
     """
     basis = polybasis.enumerate_basis(degree)
-    pts = np.asarray(getattr(pts, "points", pts), dtype=float)
     CT = np.asarray(coefficients, dtype=float).T
 
-    def reduce(rows, R):
-        f = fn(pts[rows]).T
+    def reduce(block, R):
+        f = fn(block).T
         R -= f
         return np.abs(R, out=R).max(axis=1), np.abs(f).max(axis=1)
 

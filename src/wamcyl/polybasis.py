@@ -22,7 +22,7 @@ DOMAIN_TOL = 1e-12
 CLAMP_TOL = 1e-14
 
 # control-mesh scans keep each block's live float64 values under about 2 GB,
-# within 1024..65536 rows per block
+# within 1024..65536 points per block
 _BLOCK_VALUES = 250_000_000
 _MIN_BLOCK_ROWS = 1024
 _MAX_BLOCK_ROWS = 65536
@@ -136,28 +136,83 @@ def _validate_points(pts):
 
 
 def scan(basis, X, mesh, reduce, live_per_row=0):
-    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per row block.
+    """Yield reduce(pts, X @ vandermonde(basis, pts).T) per block of points.
 
     X is (K, N) with N = len(basis), or a list of such matrices: each block
     then yields the list of their reductions, every (K, m) product formed
-    and reduced before the next.  Only the reductions leave the generator,
-    so each block and its products are freed before the next block is
-    built.  Rows per block keep the block's N values, the largest K and
-    the `live_per_row` float64 values per row that `reduce` keeps alive
-    within _BLOCK_VALUES.
+    and reduced before the next; pts is the block's (m, 3) points.  Only
+    the reductions leave the generator.
+
+    A mesh that carries slabs (Mesh.slabs, a union of tensor grids xy x z)
+    is scanned without any Vandermonde: per slab the R = (n+1)(n+2)/2 ridge
+    factors are evaluated once on xy, and per z node X is contracted with
+    the z factors into Y (K, R), so a block's product is Y @ ridges.  That
+    is about 2*K*R*M flops in place of 2*K*N*M; blocks then come in slab
+    order, and a point may come twice.  Any other mesh or (M, 3) array is
+    scanned in point order, each block's Vandermonde freed before the next
+    is built.
+
+    Points per block keep the largest K, the `live_per_row` float64 values
+    per point that `reduce` keeps alive and, on the ordered path, the
+    block's N values within _BLOCK_VALUES.
     """
-    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
     Xs = X if isinstance(X, list) else [X]
-    per_row = len(basis) + max(x.shape[0] for x in Xs) + live_per_row
-    step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_row))
+    per_point = max(x.shape[0] for x in Xs) + live_per_row
+    slabs = getattr(mesh, "slabs", None)
+    if slabs is None:
+        pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
+        blocks = _row_blocks(basis, Xs, pts, reduce, per_point + len(basis))
+    else:
+        blocks = _slab_blocks(basis, Xs, slabs, reduce, per_point)
+    for out in blocks:
+        yield out if isinstance(X, list) else out[0]
+
+
+def _block_points(per_point):
+    return min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
+
+
+def _row_blocks(basis, Xs, pts, reduce, per_point):
+    step = _block_points(per_point)
     for lo in range(0, pts.shape[0], step):
-        rows = slice(lo, lo + step)
-        BT = vandermonde(basis, pts[rows]).T
+        block = pts[lo : lo + step]
+        BT = vandermonde(basis, block).T
         # X on the left: a tall block times a narrow matrix makes OpenBLAS
         # touch packing buffers (about 60 MB at n = 15) that X B^T avoids
-        out = [reduce(rows, x @ BT) for x in Xs]
+        out = [reduce(block, x @ BT) for x in Xs]
         del BT  # not held across the yield, while the next block is built
-        yield out if isinstance(X, list) else out[0]
+        yield out
+
+
+def _slab_blocks(basis, Xs, slabs, reduce, per_point):
+    n = basis.degree
+    # columns of z degree m in ridge order (k, j): the ridge factors with
+    # k <= n - m, a prefix of all R of them
+    cols = [[basis_position((k + m, k, j)) for k in range(n - m + 1) for j in range(k + 1)]
+            for m in range(n + 1)]
+    parts = [[np.ascontiguousarray(x[:, c].T) for c in cols] for x in Xs]
+    step = _block_points(per_point)
+    for xy, z in slabs:
+        U = np.array([u for _, _, u in _ridge_factors(n, xy[:, 0], xy[:, 1])])
+        tz = _t_tilde_all(n, z)
+        for q in range(z.size):
+            YTs = [_contract_z(xm, tz[:, q]) for xm in parts]
+            for lo in range(0, xy.shape[0], step):
+                block = np.empty((min(step, xy.shape[0] - lo), 3))
+                block[:, :2] = xy[lo : lo + step]
+                block[:, 2] = z[q]
+                # formed as the transpose (m, K): this orientation runs the
+                # product and the reductions over K fastest
+                yield [reduce(block, (U[:, lo : lo + step].T @ YT).T) for YT in YTs]
+
+
+def _contract_z(parts, tz):
+    # Y^T (R, K) = sum over m of tz[m] * X[:, cols_m]^T, each term landing
+    # on a contiguous prefix of rows; tz[0] = 1
+    YT = parts[0].copy()
+    for m in range(1, len(parts)):
+        YT[: parts[m].shape[0]] += tz[m] * parts[m]
+    return YT
 
 
 def wade_eval(idx, p):
@@ -188,13 +243,18 @@ def vandermonde(basis, mesh):
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
     _validate_points(pts)
     n = basis.degree
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    tz = _t_tilde_all(n, z)
+    tz = _t_tilde_all(n, pts[:, 2])
     V = np.empty((pts.shape[0], len(basis)))
+    for k, j, u in _ridge_factors(n, pts[:, 0], pts[:, 1]):
+        for i in range(k, n + 1):
+            V[:, basis_position((i, k, j))] = u * tz[i - k]
+    return V
+
+
+def _ridge_factors(n, x, y):
+    # (k, j, U_k(x cos t + y sin t)), t = j*pi/(k+1), for 0 <= j <= k <= n in
+    # ridge order; one at a time, so a Vandermonde holds no R x M array
     for k in range(n + 1):
         for j in range(k + 1):
             theta = j * np.pi / (k + 1)
-            u = _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)
-            for i in range(k, n + 1):
-                V[:, basis_position((i, k, j))] = u * tz[i - k]
-    return V
+            yield k, j, _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)

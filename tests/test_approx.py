@@ -105,8 +105,10 @@ def test_lebesgue_blocking_invariance(monkeypatch):
         return np.cos(pts @ np.arange(1.0, 13.0).reshape(3, 4))
 
     def scans():
-        return (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
-                *sup_errors(n, C, target, ctrl))
+        # the plain point array takes the ordered, Vandermonde-blocked path
+        pts = ctrl.points
+        return (lebesgue_constant(sel, pts), lsq_norm(proj, eval_on=pts),
+                *sup_errors(n, C, target, pts))
 
     one = scans()
     # an empty value budget drops every scan to the 1024-row floor
@@ -137,6 +139,65 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     f = target(ctrl.points)
     np.testing.assert_allclose(one[2], np.abs(B @ C - f).max(axis=0), rtol=1e-12)
     np.testing.assert_allclose(one[3], np.abs(f).max(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("family,method,n", [("wam1", "afp", 5), ("wam1", "dlp", 6),
+                                             ("wam2", "afp", 6), ("wam2", "dlp", 5),
+                                             ("wam1", "afp", 10), ("wam2", "dlp", 10)])
+def test_slab_scans_match_blocked_scans(family, method, n):
+    # the control Mesh is scanned slab by slab through the z contraction,
+    # its point array through blocked Vandermondes: every sup norm agrees
+    mesh = meshgen.generate_mesh(family, n)
+    sel = (extract.select_afp if method == "afp" else extract.select_dlp)(mesh, n)
+    proj = build_lsq(mesh, n)
+    ctrl = meshgen.control_mesh(family, n)
+    rng = np.random.default_rng(14)
+    C = rng.uniform(-1, 1, (polybasis.basis_size(n), 3))
+
+    def target(pts):
+        return np.cos(pts @ np.arange(1.0, 10.0).reshape(3, 3))
+
+    def scans(on):
+        return (lebesgue_constant(sel, on), lsq_norm(proj, eval_on=on),
+                *sup_errors(n, C, target, on),
+                meshgen.empirical_wam_ratio(family, n, num_polys=20, control=on))
+
+    for tensor, blocked in zip(scans(ctrl), scans(ctrl.points)):
+        np.testing.assert_allclose(tensor, blocked, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family,m", [("wam1", 40), ("wam2", 60)])
+def test_slab_scan_chunking_invariance(monkeypatch, family, m):
+    # 1681 (wam1) and 1830/1891 (wam2) xy points per slab: an empty value
+    # budget splits every z node into chunks at the 1024-point floor
+    n = 4
+    mesh = meshgen.generate_mesh(family, n)
+    ctrl = meshgen.generate_mesh(family, m)
+    sel = extract.select_afp(mesh, n)
+    proj = build_lsq(mesh, n)
+    basis = polybasis.enumerate_basis(n)
+    C = np.random.default_rng(15).uniform(-1, 1, (len(basis), 2))
+
+    def scans():
+        sizes = list(polybasis.scan(basis, C.T, ctrl, lambda pts, _: len(pts)))
+        return sizes, (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
+                       *sup_errors(n, C, lambda pts: np.exp(pts[:, :2]), ctrl))
+
+    whole, one = scans()
+    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
+    chunked, many = scans()
+    assert max(whole) > 1024 and max(chunked) == 1024
+    assert sum(chunked) == sum(whole) >= ctrl.cardinality
+    for a, b in zip(one, many):
+        np.testing.assert_array_equal(b, a)
+
+
+def test_eval_interpolant_keeps_mesh_order():
+    # a Mesh that carries slabs is still evaluated in the order of its points
+    sel = extract.select_afp(meshgen.wam1(3), 3)
+    q = interpolate(sel, np.random.default_rng(16).standard_normal((sel.count, 2)))
+    ctrl = meshgen.wam1(12)
+    np.testing.assert_array_equal(eval_interpolant(q, ctrl), eval_interpolant(q, ctrl.points))
 
 
 def test_lebesgue_scale_invariance():

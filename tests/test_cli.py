@@ -182,6 +182,28 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
         assert counts == {"ortho": 2, "lu": 2, "scan": 2}
 
 
+def test_control_scans_build_no_control_vandermonde(tmp_path, monkeypatch):
+    # the control scans contract through the slabs of the control mesh, so
+    # every Vandermonde a run builds is on rows of its own meshes: the mesh
+    # and the nodes selected from it
+    built = []
+    vandermonde = polybasis.vandermonde
+
+    def recorded(basis, pts):
+        built.append(np.asarray(getattr(pts, "points", pts)))
+        return vandermonde(basis, pts)
+
+    monkeypatch.setattr(polybasis, "vandermonde", recorded)
+    for argv in (["metrics", "--mesh", "wam2", "--method", "afp"],
+                 ["errors", "--mesh", "wam1", "--method", "dlp", "--function", "f3",
+                  "--function", "f6"]):
+        built.clear()
+        assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
+        own = {row.tobytes() for n in (2, 3) for row in meshgen.generate_mesh(argv[2], n).points}
+        assert len(built) == 4  # per degree: the mesh and its nodes
+        assert all(row.tobytes() in own for pts in built for row in pts)
+
+
 def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
     import wamcyl.cli as cli
 

@@ -116,6 +116,17 @@ def test_control_schedule():
     assert control_degree("wam1", 7, mult=6) == 42
 
 
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_slabs_cover_exactly_the_points(family, n):
+    # the mesh and its control mesh (degree 4n): the tensor grids xy x z
+    # of the slabs hold the same point set as the points
+    for mesh in (generate_mesh(family, n), control_mesh(family, n)):
+        grids = [np.column_stack([np.repeat(xy, z.size, axis=0), np.tile(z, len(xy))])
+                 for xy, z in mesh.slabs]
+        assert {tuple(p) for p in np.vstack(grids)} == {tuple(p) for p in mesh.points}
+
+
 def test_generation_is_deterministic():
     a = wam2(6).points
     b = wam2(6).points

@@ -147,9 +147,9 @@ def test_vandermonde_block_iteration(monkeypatch):
     V = vandermonde(basis, mesh)
     # an empty value budget drops the scan to its 1024-row floor
     monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
-    parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh,
-                                lambda rows, R: (rows.start, R.T)))
-    assert [lo for lo, _ in parts] == [0, 1024, 2048]
+    parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh.points,
+                                lambda pts, R: (len(pts), R.T)))
+    assert [m for m, _ in parts] == [1024, 1024, 149]
     np.testing.assert_array_equal(np.vstack([b for _, b in parts]), V)
 
 
