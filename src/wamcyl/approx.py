@@ -4,11 +4,10 @@ Coefficients always live in the graded cylinder basis, even when a
 least-squares projector was built through a preconditioning transform, so
 interpolants can be evaluated and compared across modules.  Sup norms over
 large control meshes are reductions of X b(x) over one stream of point
-blocks (polybasis.scan).  On wam1/wam2 meshes the stream runs slab by slab
-and z node by z node, contracting X with the z factors of the basis
-first; the maximum is order-independent, so neither the blocking nor the
-order of the points changes results.  Values wanted in point order come
-from the ordered stream over the plain point array.
+blocks (polybasis.scan), which runs tensor grid by tensor grid and z node
+by z node; the maximum is order-independent, so neither the blocking nor
+the order of the points changes results.  Values wanted in point order
+are scattered to it by the block's row indices.
 """
 
 from dataclasses import dataclass, field
@@ -44,10 +43,16 @@ def eval_interpolant(q, pts):
     """Values of the interpolant at the given points (Mesh or array)."""
     basis = polybasis.enumerate_basis(q.degree)
     C = q.coefficients
-    # the ordered stream: values come back in the order of the points
-    parts = polybasis.scan(basis, C.reshape(len(basis), -1).T, getattr(pts, "points", pts),
-                           lambda _, R: R.T)
-    return np.concatenate(list(parts)).reshape((-1,) + C.shape[1:])
+    CT = C.reshape(len(basis), -1).T
+    pts = np.asarray(getattr(pts, "points", pts), dtype=float)
+    out = np.empty((pts.shape[0], CT.shape[0]))
+
+    def scatter(rows, R):
+        out[rows] = R.T
+
+    for _ in polybasis.scan(basis, CT, pts, scatter):
+        pass
+    return out.reshape((-1,) + C.shape[1:])
 
 
 def sup_errors(degree, coefficients, fn, pts):
@@ -58,10 +63,11 @@ def sup_errors(degree, coefficients, fn, pts):
     single stream over pts.  Returns (err, sup_f), each of length K.
     """
     basis = polybasis.enumerate_basis(degree)
+    pts = np.asarray(getattr(pts, "points", pts), dtype=float)
     CT = np.asarray(coefficients, dtype=float).T
 
-    def reduce(block, R):
-        f = fn(block).T
+    def reduce(rows, R):
+        f = fn(pts[rows]).T
         R -= f
         return np.abs(R, out=R).max(axis=1), np.abs(f).max(axis=1)
 

@@ -11,9 +11,7 @@ Families and closed-form cardinalities:
             (n^2+n+1)(n+2)/2 points for even n, (n+1)^2(n+2)/2 for odd n
 
 Generation order is deterministic; coincident points (disk center, wam2
-axis) are removed keeping the earliest copy.  wam1 and wam2 also record
-their points as a union of tensor grids xy x z (Mesh.slabs), which lets
-sup-norm scans contract the z factor of the basis first.
+axis) are removed keeping the earliest copy.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polybasis
-from .errors import DomainError
 
 FAMILIES = ("cheb", "padua", "disk", "wam1", "wam2", "control")
 
@@ -33,21 +30,11 @@ class Mesh:
     family: str
     degree: int
     points: np.ndarray = field(repr=False)
-    # (xy, z) pairs, xy of shape (P, 2): the grids xy x z together hold
-    # exactly the points, a point possibly more than once
-    slabs: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown mesh family {self.family!r}")
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must be an (M, 3) array")
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        if np.any(r2 > 1.0 + polybasis.DOMAIN_TOL) or np.any(
-            np.abs(pts[:, 2]) > 1.0 + polybasis.DOMAIN_TOL
-        ):
-            raise DomainError("mesh point outside the cylinder")
+        polybasis._validate_points(np.asarray(self.points, dtype=float))
 
     @property
     def cardinality(self):
@@ -82,11 +69,6 @@ def _cheb_lobatto_grid(n):
         g[half] = 0.0
     g[half + 1 :] = -g[: n - half][::-1]
     return g
-
-
-def _ring_xy(radii, ca, sa):
-    # (r cos t, r sin t), radius-major, for the angles with cosines ca and sines sa
-    return np.column_stack([np.outer(radii, ca).ravel(), np.outer(radii, sa).ravel()])
 
 
 def _dedup(points):
@@ -145,7 +127,8 @@ def disk_wam(n):
     m = n + 1 if n % 2 == 1 else n + 2
     ang = np.arange(m) * np.pi / m
     pts = np.zeros((radii.size * m, 3))
-    pts[:, :2] = _ring_xy(radii, np.cos(ang), np.sin(ang))
+    pts[:, 0] = np.outer(radii, np.cos(ang)).ravel()
+    pts[:, 1] = np.outer(radii, np.sin(ang)).ravel()
     pts = _dedup(pts)
     assert pts.shape[0] == expected_cardinality("disk", n)
     return Mesh("disk", n, pts)
@@ -163,7 +146,7 @@ def wam1(n):
     pts[:, 1] = np.repeat(disk[:, 1], mz)
     pts[:, 2] = np.tile(zg, md)
     assert pts.shape[0] == expected_cardinality("wam1", n)
-    return Mesh("wam1", n, pts, slabs=((disk[:, :2], zg),))
+    return Mesh("wam1", n, pts)
 
 
 def wam2(n):
@@ -172,28 +155,23 @@ def wam2(n):
 
     Negative radii cover the angles in [pi, 2*pi), so the rim carries 2n+2
     equispaced points.  Axis points (r = 0) coincide across angles for even
-    n and are kept once in the points; the slabs keep every copy.
+    n and are kept once.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     pad = padua(n).points
     r, z = pad[:, 0], pad[:, 2]
     ang = np.arange(n + 1) * np.pi / (n + 1)
-    ca, sa = np.cos(ang), np.sin(ang)
     blocks = []
-    for c, s in zip(ca, sa):
+    for t in ang:
         blk = np.empty((pad.shape[0], 3))
-        blk[:, 0] = r * c
-        blk[:, 1] = r * s
+        blk[:, 0] = r * np.cos(t)
+        blk[:, 1] = r * np.sin(t)
         blk[:, 2] = z
         blocks.append(blk)
     pts = _dedup(np.vstack(blocks))
     assert pts.shape[0] == expected_cardinality("wam2", n)
-    # the Padua parity rule: at the z nodes of one index parity sit the
-    # radii of the other parity, at every angle
-    radii, zg = _cheb_lobatto_grid(n), _cheb_lobatto_grid(n + 1)
-    slabs = tuple((_ring_xy(radii[1 - p :: 2], ca, sa), zg[p::2]) for p in (0, 1))
-    return Mesh("wam2", n, pts, slabs=slabs)
+    return Mesh("wam2", n, pts)
 
 
 _GENERATORS = {

@@ -9,6 +9,10 @@ the unit disk with a weighted Chebyshev polynomial of the first kind in z:
 with indices 0 <= j <= k <= i <= n.  The ordering is graded lexicographic
 in (i, k, j), so the leading (m+1)(m+2)(m+3)/6 elements span exactly the
 polynomials of total degree <= m for every m <= n.
+
+`scan` streams reductions of X b(x) over any point set without building
+its Vandermonde: it finds the tensor grids xy x z among the points and
+contracts the z factor first.
 """
 
 from dataclasses import dataclass
@@ -136,74 +140,62 @@ def _validate_points(pts):
 
 
 def scan(basis, X, mesh, reduce, live_per_row=0):
-    """Yield reduce(pts, X @ vandermonde(basis, pts).T) per block of points.
+    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per block of
+    points, rows an index array into the points of `mesh` (a Mesh or an
+    (M, 3) array).
 
     X is (K, N) with N = len(basis), or a list of such matrices: each block
     then yields the list of their reductions, every (K, m) product formed
-    and reduced before the next; pts is the block's (m, 3) points.  Only
-    the reductions leave the generator.
+    and reduced before the next.  Only the reductions leave the generator.
 
-    A mesh that carries slabs (Mesh.slabs, a union of tensor grids xy x z)
-    is scanned without any Vandermonde: per slab the R = (n+1)(n+2)/2 ridge
-    factors are evaluated once on xy, and per z node X is contracted with
-    the z factors into Y (K, R), so a block's product is Y @ ridges.  That
-    is about 2*K*R*M flops in place of 2*K*N*M; blocks then come in slab
-    order, and a point may come twice.  Any other mesh or (M, 3) array is
-    scanned in point order, each block's Vandermonde freed before the next
-    is built.
+    No Vandermonde is built.  The points are split into tensor grids
+    xy x z (_slabs); per grid the R = (n+1)(n+2)/2 ridge factors are
+    evaluated once on xy, and per z node X is contracted with the z
+    factors into Y (K, R), so a block's product is Y @ ridges: about
+    2*K*R*M flops in place of 2*K*N*M (sum factorization).  Blocks come in
+    grid order and cover every point exactly once.
 
-    Points per block keep the largest K, the `live_per_row` float64 values
-    per point that `reduce` keeps alive and, on the ordered path, the
-    block's N values within _BLOCK_VALUES.
+    Points per block keep the largest K and the `live_per_row` float64
+    values per point that `reduce` keeps alive within _BLOCK_VALUES.
     """
     Xs = X if isinstance(X, list) else [X]
-    per_point = max(x.shape[0] for x in Xs) + live_per_row
-    slabs = getattr(mesh, "slabs", None)
-    if slabs is None:
-        pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
-        blocks = _row_blocks(basis, Xs, pts, reduce, per_point + len(basis))
-    else:
-        blocks = _slab_blocks(basis, Xs, slabs, reduce, per_point)
-    for out in blocks:
-        yield out if isinstance(X, list) else out[0]
-
-
-def _block_points(per_point):
-    return min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
-
-
-def _row_blocks(basis, Xs, pts, reduce, per_point):
-    step = _block_points(per_point)
-    for lo in range(0, pts.shape[0], step):
-        block = pts[lo : lo + step]
-        BT = vandermonde(basis, block).T
-        # X on the left: a tall block times a narrow matrix makes OpenBLAS
-        # touch packing buffers (about 60 MB at n = 15) that X B^T avoids
-        out = [reduce(block, x @ BT) for x in Xs]
-        del BT  # not held across the yield, while the next block is built
-        yield out
-
-
-def _slab_blocks(basis, Xs, slabs, reduce, per_point):
+    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
+    _validate_points(pts)
     n = basis.degree
     # columns of z degree m in ridge order (k, j): the ridge factors with
     # k <= n - m, a prefix of all R of them
     cols = [[basis_position((k + m, k, j)) for k in range(n - m + 1) for j in range(k + 1)]
             for m in range(n + 1)]
     parts = [[np.ascontiguousarray(x[:, c].T) for c in cols] for x in Xs]
-    step = _block_points(per_point)
-    for xy, z in slabs:
+    per_point = max(x.shape[0] for x in Xs) + live_per_row
+    step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
+    for xy, z, rows in _slabs(pts):
         U = np.array([u for _, _, u in _ridge_factors(n, xy[:, 0], xy[:, 1])])
         tz = _t_tilde_all(n, z)
         for q in range(z.size):
             YTs = [_contract_z(xm, tz[:, q]) for xm in parts]
             for lo in range(0, xy.shape[0], step):
-                block = np.empty((min(step, xy.shape[0] - lo), 3))
-                block[:, :2] = xy[lo : lo + step]
-                block[:, 2] = z[q]
                 # formed as the transpose (m, K): this orientation runs the
                 # product and the reductions over K fastest
-                yield [reduce(block, (U[:, lo : lo + step].T @ YT).T) for YT in YTs]
+                out = [reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)
+                       for YT in YTs]
+                yield out if isinstance(X, list) else out[0]
+
+
+def _slabs(pts):
+    # tensor grids (xy, z, rows) that partition the points: rows[q] holds the
+    # indices of the points (xy, z[q]) in the order of xy.  Points are grouped
+    # by exact z, and z groups with equal xy rows share a grid (+ 0.0 turns
+    # -0.0 into 0.0, so equal rows have equal bytes)
+    order = np.argsort(pts[:, 2], kind="stable")
+    z, starts = np.unique(pts[order, 2], return_index=True)
+    grids = {}
+    for zq, rows in zip(z, np.split(order, starts[1:])):
+        xy = pts[rows, :2]
+        grid = grids.setdefault((xy + 0.0).tobytes(), (xy, [], []))
+        grid[1].append(zq)
+        grid[2].append(rows)
+    return [(xy, np.array(z), rows) for xy, z, rows in grids.values()]
 
 
 def _contract_z(parts, tz):

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -14,10 +12,22 @@ from wamcyl.approx import (
     lsq_norm,
     sup_errors,
 )
+from wamcyl.errors import DomainError
 
 
 def _values(coeffs, n, pts):
     return polybasis.vandermonde(polybasis.enumerate_basis(n), pts) @ coeffs
+
+
+def _dense_scan(basis, X, mesh, reduce, live_per_row=0):
+    # reference for polybasis.scan: the whole Vandermonde of the points at
+    # once, X @ V.T reduced over row blocks of it in point order
+    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
+    V = polybasis.vandermonde(basis, pts)
+    for lo in range(0, len(pts), 8192):
+        rows = np.arange(lo, min(lo + 8192, len(pts)))
+        out = [reduce(rows, x @ V[rows].T) for x in (X if isinstance(X, list) else [X])]
+        yield out if isinstance(X, list) else out[0]
 
 
 def test_interpolate_constant():
@@ -96,7 +106,7 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     mesh = meshgen.wam2(n)
     sel = extract.select_afp(mesh, n)
     proj = build_lsq(mesh, n)
-    ctrl = meshgen.wam2(20)  # 4631 points: one block by default
+    ctrl = meshgen.wam2(60)  # 1830 or 1831 points per z node: one block each by default
     basis = polybasis.enumerate_basis(n)
     rng = np.random.default_rng(13)
     C = rng.uniform(-1, 1, (len(basis), 4))
@@ -105,30 +115,28 @@ def test_lebesgue_blocking_invariance(monkeypatch):
         return np.cos(pts @ np.arange(1.0, 13.0).reshape(3, 4))
 
     def scans():
-        # the plain point array takes the ordered, Vandermonde-blocked path
         pts = ctrl.points
         return (lebesgue_constant(sel, pts), lsq_norm(proj, eval_on=pts),
                 *sup_errors(n, C, target, pts))
 
     one = scans()
-    # an empty value budget drops every scan to the 1024-row floor
+    # an empty value budget drops every scan to the 1024-point floor
     monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
-    blocks, refs, alive = [], [], []
-    build = polybasis.vandermonde
+    blocks, built = [], []
+    build, scan = polybasis.vandermonde, polybasis.scan
 
-    def counted(b, pts):
-        V = build(b, pts)
-        if np.shares_memory(pts, ctrl.points):
-            # control-mesh blocks built earlier and still referenced now
-            alive.append(sum(ref() is not None for ref in refs))
-            blocks.append(len(pts))
-            refs.append(weakref.ref(V))
-        return V
+    def counted(basis, X, mesh, reduce, live_per_row=0):
+        def sized(rows, R):
+            blocks.append(len(rows))
+            return reduce(rows, R)
+        return scan(basis, X, mesh, sized, live_per_row)
 
-    monkeypatch.setattr(polybasis, "vandermonde", counted)
+    monkeypatch.setattr(polybasis, "scan", counted)
+    monkeypatch.setattr(polybasis, "vandermonde",
+                        lambda b, pts: built.append(pts) or build(b, pts))
     many = scans()
-    assert blocks.count(1024) == 3 * 4  # per scan: four full blocks, one of 535 rows
-    assert max(alive) == 0  # each block is freed before the next is built
+    assert blocks.count(1024) == 3 * 62  # per scan: one full block per z node
+    assert built == []  # the scans build no Vandermonde
     for a, b in zip(one, many):
         np.testing.assert_allclose(b, a, rtol=1e-12)
     # manual single-shot computation
@@ -144,9 +152,10 @@ def test_lebesgue_blocking_invariance(monkeypatch):
 @pytest.mark.parametrize("family,method,n", [("wam1", "afp", 5), ("wam1", "dlp", 6),
                                              ("wam2", "afp", 6), ("wam2", "dlp", 5),
                                              ("wam1", "afp", 10), ("wam2", "dlp", 10)])
-def test_slab_scans_match_blocked_scans(family, method, n):
-    # the control Mesh is scanned slab by slab through the z contraction,
-    # its point array through blocked Vandermondes: every sup norm agrees
+def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
+    # the control mesh is scanned tensor grid by tensor grid through the z
+    # contraction, and by the dense reference through row blocks of its
+    # whole Vandermonde: every sup norm agrees
     mesh = meshgen.generate_mesh(family, n)
     sel = (extract.select_afp if method == "afp" else extract.select_dlp)(mesh, n)
     proj = build_lsq(mesh, n)
@@ -157,13 +166,15 @@ def test_slab_scans_match_blocked_scans(family, method, n):
     def target(pts):
         return np.cos(pts @ np.arange(1.0, 10.0).reshape(3, 3))
 
-    def scans(on):
-        return (lebesgue_constant(sel, on), lsq_norm(proj, eval_on=on),
-                *sup_errors(n, C, target, on),
-                meshgen.empirical_wam_ratio(family, n, num_polys=20, control=on))
+    def scans():
+        return (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
+                *sup_errors(n, C, target, ctrl),
+                meshgen.empirical_wam_ratio(family, n, num_polys=20, control=ctrl))
 
-    for tensor, blocked in zip(scans(ctrl), scans(ctrl.points)):
-        np.testing.assert_allclose(tensor, blocked, rtol=1e-12, atol=0)
+    tensor = scans()
+    monkeypatch.setattr(polybasis, "scan", _dense_scan)
+    for a, b in zip(tensor, scans()):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("family,m", [("wam1", 40), ("wam2", 60)])
@@ -187,17 +198,32 @@ def test_slab_scan_chunking_invariance(monkeypatch, family, m):
     monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
     chunked, many = scans()
     assert max(whole) > 1024 and max(chunked) == 1024
-    assert sum(chunked) == sum(whole) >= ctrl.cardinality
+    assert sum(chunked) == sum(whole) == ctrl.cardinality
     for a, b in zip(one, many):
         np.testing.assert_array_equal(b, a)
 
 
 def test_eval_interpolant_keeps_mesh_order():
-    # a Mesh that carries slabs is still evaluated in the order of its points
+    # values come back in the order of the points, also of a shuffled array
     sel = extract.select_afp(meshgen.wam1(3), 3)
-    q = interpolate(sel, np.random.default_rng(16).standard_normal((sel.count, 2)))
+    rng = np.random.default_rng(16)
+    q = interpolate(sel, rng.standard_normal((sel.count, 2)))
     ctrl = meshgen.wam1(12)
     np.testing.assert_array_equal(eval_interpolant(q, ctrl), eval_interpolant(q, ctrl.points))
+    pts = ctrl.points[rng.permutation(ctrl.cardinality)]
+    want = _values(q.coefficients, 3, pts)
+    np.testing.assert_allclose(eval_interpolant(q, pts), want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_scans_reject_points_outside_the_cylinder():
+    sel = extract.select_afp(meshgen.wam1(3), 3)
+    q = interpolate(sel, np.ones(sel.count))
+    pts = np.array([[0.3, 0.1, -0.7], [0.9, 0.5, 0.0]])  # r^2 = 1.06
+    with pytest.raises(DomainError):
+        eval_interpolant(q, pts)
+    with pytest.raises(DomainError):
+        lebesgue_constant(sel, pts)
 
 
 def test_lebesgue_scale_invariance():

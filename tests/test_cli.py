@@ -183,7 +183,7 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
 
 
 def test_control_scans_build_no_control_vandermonde(tmp_path, monkeypatch):
-    # the control scans contract through the slabs of the control mesh, so
+    # the control scans contract through the tensor grids of the control mesh, so
     # every Vandermonde a run builds is on rows of its own meshes: the mesh
     # and the nodes selected from it
     built = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from wamcyl import meshgen
+from wamcyl import meshgen, polybasis
 from wamcyl.meshgen import (
     cheb_lobatto,
     control_degree,
@@ -116,15 +116,31 @@ def test_control_schedule():
     assert control_degree("wam1", 7, mult=6) == 42
 
 
-@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def _assert_slabs_partition(pts):
+    # every point lies in exactly one grid (xy, z, rows), at (xy, z[q]) for
+    # the block rows[q] that holds it; returns the number of grids
+    slabs = polybasis._slabs(pts)
+    for xy, z, rows in slabs:
+        for zq, r in zip(z, rows):
+            np.testing.assert_array_equal(pts[r], np.column_stack([xy, np.full(len(xy), zq)]))
+    covered = np.concatenate([r for _, _, rows in slabs for r in rows])
+    np.testing.assert_array_equal(np.sort(covered), np.arange(len(pts)))
+    return len(slabs)
+
+
+@pytest.mark.parametrize("family", ["cheb", "padua", "disk", "wam1", "wam2"])
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_slabs_cover_exactly_the_points(family, n):
-    # the mesh and its control mesh (degree 4n): the tensor grids xy x z
-    # of the slabs hold the same point set as the points
+    # the mesh and its control mesh (degree 4n): the tensor grids that scans
+    # find partition the points, one grid per family (two for the parity
+    # rule of padua and wam2)
+    grids = {"cheb": 1, "padua": 2, "disk": 1, "wam1": 1, "wam2": 2}[family]
     for mesh in (generate_mesh(family, n), control_mesh(family, n)):
-        grids = [np.column_stack([np.repeat(xy, z.size, axis=0), np.tile(z, len(xy))])
-                 for xy, z in mesh.slabs]
-        assert {tuple(p) for p in np.vstack(grids)} == {tuple(p) for p in mesh.points}
+        assert _assert_slabs_partition(mesh.points) == grids
+    if family == "wam1":
+        # shuffled, the z groups no longer share an xy order
+        pts = mesh.points[np.random.default_rng(n).permutation(mesh.cardinality)]
+        _assert_slabs_partition(pts)
 
 
 def test_generation_is_deterministic():

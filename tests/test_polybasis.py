@@ -142,15 +142,19 @@ def test_vandermonde_matches_scalar_eval():
 
 
 def test_vandermonde_block_iteration(monkeypatch):
-    mesh = meshgen.wam1(12)  # 2197 points
+    mesh = meshgen.wam1(32)  # 1089 disk points per z node
     basis = enumerate_basis(4)
     V = vandermonde(basis, mesh)
-    # an empty value budget drops the scan to its 1024-row floor
+    # an empty value budget drops the scan to its 1024-point floor
     monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
     parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh.points,
-                                lambda pts, R: (len(pts), R.T)))
-    assert [m for m, _ in parts] == [1024, 1024, 149]
-    np.testing.assert_array_equal(np.vstack([b for _, b in parts]), V)
+                                lambda rows, R: (rows, R.T)))
+    assert [len(rows) for rows, _ in parts] == [1024, 65] * 33
+    # the identity X gives the Vandermonde rows of each block
+    got = np.full_like(V, np.nan)
+    for rows, B in parts:
+        got[rows] = B
+    np.testing.assert_array_equal(got, V)
 
 
 def _gram_reference(n):
