@@ -10,8 +10,10 @@ Families and closed-form cardinalities:
     wam2    Padua points in the (r, z) plane rotated about the z-axis,
             (n^2+n+1)(n+2)/2 points for even n, (n+1)^2(n+2)/2 for odd n
 
-Generation order is deterministic; coincident points (disk center, wam2
-axis) are removed keeping the earliest copy.
+Generation order is deterministic.  The only coincident points the
+products make are the disk center and the wam2 axis (even n), repeated at
+every angle; each generator masks out those repeats where it makes them,
+keeping the copy at the first angle.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +24,7 @@ from . import polybasis
 
 FAMILIES = ("cheb", "padua", "disk", "wam1", "wam2", "control")
 
+# every two generated points of a mesh lie further apart than this
 DEDUP_TOL = 1e-12
 
 
@@ -71,17 +74,6 @@ def _cheb_lobatto_grid(n):
     return g
 
 
-def _dedup(points):
-    # generators only ever produce exactly coincident duplicates (signed
-    # zeros at the center/axis), so keyed dedup implements the 1e-12 rule
-    seen = {}
-    for row in points:
-        key = (row[0], row[1], row[2])
-        if key not in seen:
-            seen[key] = row
-    return np.array(list(seen.values()))
-
-
 def cheb_lobatto(n):
     """Chebyshev-Lobatto points cos(k*pi/n), embedded on the x-axis."""
     if n < 1:
@@ -101,15 +93,10 @@ def padua(n):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    xg = _cheb_lobatto_grid(n)
-    zg = _cheb_lobatto_grid(n + 1)
-    pts = [
-        (xg[r], 0.0, zg[s])
-        for r in range(n + 1)
-        for s in range(n + 2)
-        if (r + s) % 2 == 1
-    ]
-    pts = np.array(pts)
+    r, s = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
+    pts = np.zeros((r.size, 3))
+    pts[:, 0] = _cheb_lobatto_grid(n)[r]
+    pts[:, 2] = _cheb_lobatto_grid(n + 1)[s]
     assert pts.shape[0] == expected_cardinality("padua", n)
     return Mesh("padua", n, pts)
 
@@ -118,18 +105,19 @@ def disk_wam(n):
     """Rotation-invariant polar grid of the unit disk.
 
     Radii cos(i*pi/n) for i = 0..n; angles j*pi/m for j = 0..m-1 with
-    m = n+1 for odd n and m = n+2 for even n.  The center duplicates that
-    occur for even n are removed.
+    m = n+1 for odd n and m = n+2 for even n, radius-major.  For even n the
+    center (radius i = n/2) is kept at the first angle only.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     radii = _cheb_lobatto_grid(n)
     m = n + 1 if n % 2 == 1 else n + 2
     ang = np.arange(m) * np.pi / m
-    pts = np.zeros((radii.size * m, 3))
-    pts[:, 0] = np.outer(radii, np.cos(ang)).ravel()
-    pts[:, 1] = np.outer(radii, np.sin(ang)).ravel()
-    pts = _dedup(pts)
+    keep = np.ones((radii.size, m), dtype=bool)
+    keep[radii == 0.0, 1:] = False
+    pts = np.zeros((keep.sum(), 3))
+    pts[:, 0] = np.outer(radii, np.cos(ang))[keep]
+    pts[:, 1] = np.outer(radii, np.sin(ang))[keep]
     assert pts.shape[0] == expected_cardinality("disk", n)
     return Mesh("disk", n, pts)
 
@@ -154,22 +142,20 @@ def wam2(n):
     the n+1 angles j*pi/(n+1); (r, z) at angle t maps to (r cos t, r sin t, z).
 
     Negative radii cover the angles in [pi, 2*pi), so the rim carries 2n+2
-    equispaced points.  Axis points (r = 0) coincide across angles for even
-    n and are kept once.
+    equispaced points.  Points come angle-major in Padua order; the axis
+    points (r = 0, even n) are kept at the first angle only.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     pad = padua(n).points
     r, z = pad[:, 0], pad[:, 2]
     ang = np.arange(n + 1) * np.pi / (n + 1)
-    blocks = []
-    for t in ang:
-        blk = np.empty((pad.shape[0], 3))
-        blk[:, 0] = r * np.cos(t)
-        blk[:, 1] = r * np.sin(t)
-        blk[:, 2] = z
-        blocks.append(blk)
-    pts = _dedup(np.vstack(blocks))
+    keep = np.ones((ang.size, r.size), dtype=bool)
+    keep[1:, r == 0.0] = False
+    pts = np.empty((keep.sum(), 3))
+    pts[:, 0] = np.outer(np.cos(ang), r)[keep]
+    pts[:, 1] = np.outer(np.sin(ang), r)[keep]
+    pts[:, 2] = np.broadcast_to(z, keep.shape)[keep]
     assert pts.shape[0] == expected_cardinality("wam2", n)
     return Mesh("wam2", n, pts)
 

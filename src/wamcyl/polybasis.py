@@ -149,11 +149,12 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     and reduced before the next.  Only the reductions leave the generator.
 
     No Vandermonde is built.  The points are split into tensor grids
-    xy x z (_slabs); per grid the R = (n+1)(n+2)/2 ridge factors are
-    evaluated once on xy, and per z node X is contracted with the z
-    factors into Y (K, R), so a block's product is Y @ ridges: about
-    2*K*R*M flops in place of 2*K*N*M (sum factorization).  Blocks come in
-    grid order and cover every point exactly once.
+    xy x z (_slabs); the R = (n+1)(n+2)/2 ridge factors are evaluated once,
+    on the xy rows of all grids together (an R x sum(xy) array), and per z
+    node X is contracted with the z factors into Y (K, R), so a block's
+    product is Y @ ridges: about 2*K*R*M flops in place of 2*K*N*M (sum
+    factorization).  Blocks come in grid order and cover every point
+    exactly once.
 
     Points per block keep the largest K and the `live_per_row` float64
     values per point that `reduce` keeps alive within _BLOCK_VALUES.
@@ -169,12 +170,19 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     parts = [[np.ascontiguousarray(x[:, c].T) for c in cols] for x in Xs]
     per_point = max(x.shape[0] for x in Xs) + live_per_row
     step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
-    for xy, z, rows in _slabs(pts):
-        U = np.array([u for _, _, u in _ridge_factors(n, xy[:, 0], xy[:, 1])])
+    slabs = _slabs(pts)
+    if not slabs:  # no points: nothing to concatenate, no blocks
+        return
+    xy = np.concatenate([g[0] for g in slabs])
+    ridges = np.empty((len(cols[0]), len(xy)))
+    for r, (_, _, u) in enumerate(_ridge_factors(n, xy[:, 0], xy[:, 1])):
+        ridges[r] = u
+    ends = np.cumsum([len(g[0]) for g in slabs])
+    for (_, z, rows), U in zip(slabs, np.split(ridges, ends[:-1], axis=1)):
         tz = _t_tilde_all(n, z)
         for q in range(z.size):
             YTs = [_contract_z(xm, tz[:, q]) for xm in parts]
-            for lo in range(0, xy.shape[0], step):
+            for lo in range(0, U.shape[1], step):
                 # formed as the transpose (m, K): this orientation runs the
                 # product and the reductions over K fastest
                 out = [reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)

@@ -214,6 +214,29 @@ def test_eval_interpolant_keeps_mesh_order():
     want = _values(q.coefficients, 3, pts)
     np.testing.assert_allclose(eval_interpolant(q, pts), want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+    assert eval_interpolant(q, np.empty((0, 3))).shape == (0, 2)
+
+
+def test_scan_evaluates_the_ridge_factors_once(monkeypatch):
+    # scattered points form one grid per z value; the ridge factors are still
+    # evaluated in one call over all of them
+    rng = np.random.default_rng(17)
+    r, t = np.sqrt(rng.uniform(0, 1, 500)), rng.uniform(0, 2 * np.pi, 500)
+    pts = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(-1, 1, 500)])
+    sel = extract.select_afp(meshgen.wam1(5), 5)
+    q = interpolate(sel, rng.standard_normal(sel.count))
+    want = _values(q.coefficients, 5, pts)
+    calls = []
+    ridge_factors = polybasis._ridge_factors
+
+    def counted(*args):
+        calls.append(args)
+        return ridge_factors(*args)
+
+    monkeypatch.setattr(polybasis, "_ridge_factors", counted)
+    got = eval_interpolant(q, pts)
+    assert len(calls) == 1
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_scans_reject_points_outside_the_cylinder():

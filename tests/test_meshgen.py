@@ -66,9 +66,58 @@ def test_cardinalities_all_degrees():
 
 
 def test_no_near_duplicates():
-    for mesh in (disk_wam(8), wam1(4), wam2(6), wam2(7), padua(9)):
+    meshes = [generate_mesh(family, n) for family in ("cheb", "padua", "disk", "wam1", "wam2")
+              for n in range(1, 31)]
+    for mesh in meshes + [disk_wam(80), wam2(80)]:
         tree = cKDTree(mesh.points)
-        assert not tree.query_pairs(meshgen.DEDUP_TOL)
+        assert not tree.query_pairs(meshgen.DEDUP_TOL), (mesh.family, mesh.degree)
+
+
+def _first_copies(raw):
+    # keep the first copy of each (x, y, z) key, in generation order; keys
+    # compare as floats, so -0.0 == 0.0
+    seen = {}
+    for i, key in enumerate(map(tuple, raw.tolist())):
+        seen.setdefault(key, i)
+    return raw[list(seen.values())]
+
+
+def _reference_mesh(family, n):
+    # the raw products, with every center and axis repeat, reduced by the
+    # first-copy rule
+    grid = meshgen._cheb_lobatto_grid
+    if family == "cheb":
+        return np.column_stack([grid(n), np.zeros((n + 1, 2))])
+    if family == "padua":
+        xg, zg = grid(n), grid(n + 1)
+        return np.array([(xg[r], 0.0, zg[s]) for r in range(n + 1) for s in range(n + 2)
+                         if (r + s) % 2 == 1])
+    if family in ("disk", "wam1"):
+        radii = grid(n)
+        m = n + 1 if n % 2 == 1 else n + 2
+        ang = np.arange(m) * np.pi / m
+        raw = np.zeros((radii.size * m, 3))
+        raw[:, 0] = np.outer(radii, np.cos(ang)).ravel()
+        raw[:, 1] = np.outer(radii, np.sin(ang)).ravel()
+        if family == "disk":
+            return _first_copies(raw)
+        zg = grid(n)
+        raw = np.column_stack([np.repeat(raw[:, :2], zg.size, axis=0), np.tile(zg, len(raw))])
+        return _first_copies(raw)
+    pad = _reference_mesh("padua", n)
+    r, z = pad[:, 0], pad[:, 2]
+    blocks = [np.column_stack([r * np.cos(t), r * np.sin(t), z])
+              for t in np.arange(n + 1) * np.pi / (n + 1)]
+    return _first_copies(np.vstack(blocks))
+
+
+@pytest.mark.parametrize("family", ["cheb", "padua", "disk", "wam1", "wam2"])
+def test_meshes_match_the_first_copy_rule(family):
+    # bitwise, signed zeros included: node selection breaks ties by mesh index
+    for n in range(1, 41):
+        got = generate_mesh(family, n).points
+        want = _reference_mesh(family, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
 def test_points_inside_cylinder():
