@@ -81,16 +81,14 @@ def cmd_gen(args):
 
 def cmd_extract(args):
     n = _single_degree(args)
-    # a degree-0 extraction still needs a real mesh to select from
-    mesh = meshgen.generate_mesh(args.mesh, max(n, 1))
-    select = extract.select_afp if args.method == "afp" else extract.select_dlp
-    sel = select(mesh, n, args.ortho_steps)
+    run = DegreeRun(args.mesh, n, args.method, args.ortho_steps)
+    sel = run.selection
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = fileio.write_extraction_csv(
         out / f"{args.mesh}{n}_{args.method}.csv", sel
     )
-    print(f"{args.method} degree {sel.degree} from {mesh.family}: {sel.count} nodes -> {path}")
+    print(f"{args.method} degree {sel.degree} from {run.mesh.family}: {sel.count} nodes -> {path}")
     return 0
 
 
@@ -107,7 +105,8 @@ class DegreeRun:
 
     @cached_property
     def mesh(self):
-        return meshgen.generate_mesh(self.family, self.degree)
+        # a degree-0 selection still needs a real mesh to select from
+        return meshgen.generate_mesh(self.family, max(self.degree, 1))
 
     def _preconditioned(self, steps):
         """(P, V P) for `steps` orthogonalization steps of V."""

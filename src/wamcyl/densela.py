@@ -3,9 +3,12 @@
 Pivot selection uses strict greater-than comparisons, so the earliest
 index wins among exact ties; re-running on identical input is
 bit-identical.  Column-pivoted QR is delegated to LAPACK (dgeqp3, which
-also breaks norm ties toward the first index); row-pivoted LU is an
-unblocked elimination so that pivot choices on a leading column block are
-bitwise independent of any trailing columns.
+also breaks norm ties toward the first index).  Row-pivoted LU is
+left-looking over the degree panels of the graded basis: one triangular
+solve and one GEMM per panel, then column-by-column elimination inside
+it.  A panel's operations depend only on the row count and its degree,
+so pivot choices on a leading block of whole degrees are bitwise
+independent of any trailing columns.
 """
 
 import warnings
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import polybasis
 from .errors import RankDeficiencyError, SingularMatrixError
 
 RANK_TOL = 1e-12
@@ -59,35 +63,52 @@ def qr_col_pivot(A, steps=None):
 def lu_row_pivot(A):
     """Row permutation from Gaussian elimination with partial pivoting.
 
-    Unblocked right-looking elimination: at column k the unpivoted row with
-    the largest absolute entry is selected (first such row on ties).  Pivot
-    decisions for a leading column block are therefore bitwise independent
-    of any trailing columns.
+    Left-looking LU over graded degree panels: panel d holds the columns
+    basis_size(d-1) .. basis_size(d)-1, the last one cut at the column
+    count.  Each panel takes its update from all earlier columns in one
+    unit-lower triangular solve and one GEMM; inside the panel each column
+    takes its update from the panel's earlier columns (a triangular solve
+    and a GEMV, Crout order) and is then pivoted: the current row with the
+    largest absolute entry wins, the earliest on ties, and the full rows
+    are swapped.  Column k is computed from columns 0..k only, and the
+    panel bounds do not depend on the column count, so the pivots of a
+    leading block of whole degrees are the leading pivots of the full
+    matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.
     """
-    U = np.array(A, dtype=float, order="C")
-    n_rows, n_cols = U.shape
+    LU = np.array(A, dtype=float, order="F")
+    n_rows, n_cols = LU.shape
     if n_rows < n_cols:
         raise ValueError("need at least as many rows as columns")
-    scale = np.abs(U).max(initial=0.0)
+    scale = np.abs(LU).max(initial=0.0)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     tol_abs = RANK_TOL * scale
     perm = np.arange(n_rows)
     mags = np.empty(n_cols)
-    # one multiply and one subtract per entry, first-max pivot search
-    for k in range(n_cols):
-        col = np.abs(U[k:, k])
-        p = k + int(np.argmax(col))
-        mags[k] = col[p - k]
-        if mags[k] < tol_abs:
-            raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
-        if p != k:
-            U[[k, p]] = U[[p, k]]
-            perm[k], perm[p] = perm[p], perm[k]
-        if k + 1 < n_rows:
-            mult = U[k + 1 :, k] / U[k, k]
-            U[k + 1 :, k + 1 :] -= mult[:, None] * U[k, k + 1 :]
+    c0, d = 0, 0
+    while c0 < n_cols:
+        c1 = min(polybasis.basis_size(d), n_cols)
+        LU[:c0, c0:c1] = _unit_lower_solve(LU[:c0, :c0], LU[:c0, c0:c1])
+        LU[c0:, c0:c1] -= LU[c0:, :c0] @ LU[:c0, c0:c1]
+        for k in range(c0, c1):
+            LU[c0:k, k] = _unit_lower_solve(LU[c0:k, c0:k], LU[c0:k, k])
+            LU[k:, k] -= LU[k:, c0:k] @ LU[c0:k, k]
+            col = np.abs(LU[k:, k])
+            p = k + int(np.argmax(col))
+            mags[k] = col[p - k]
+            if mags[k] < tol_abs:
+                raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
+            if p != k:
+                LU[[k, p]] = LU[[p, k]]
+                perm[k], perm[p] = perm[p], perm[k]
+            LU[k + 1 :, k] /= LU[k, k]
+        c0, d = c1, d + 1
     return PivotRecord(order=perm, magnitudes=mags)
+
+
+def _unit_lower_solve(L, B):
+    return scipy.linalg.solve_triangular(L, B, lower=True, unit_diagonal=True,
+                                         check_finite=False)
 
 
 def lu_factor_checked(A):

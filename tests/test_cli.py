@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wamcyl
-from wamcyl import approx, cubature, densela, extract, meshgen, polybasis, testfns
+from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
 from wamcyl.cli import main
 
 
@@ -45,6 +45,22 @@ def test_extract_degree0(tmp_path):
     assert main(["extract", "--mesh", "wam2", "--degree", "0", "--method", "afp",
                  "--ortho-steps", "0", "--out", str(tmp_path)]) == 0
     assert len(_csv_rows(tmp_path / "wam20_afp.csv")) - 1 == 1
+
+
+@pytest.mark.parametrize("method", ["afp", "dlp"])
+@pytest.mark.parametrize("family,n", [("wam1", 0), ("wam2", 0), ("wam1", 4), ("wam2", 4)])
+def test_extract_writes_the_library_selection(tmp_path, family, n, method):
+    # the command selects through its DegreeRun; the files are those of the
+    # library call on the degree max(n, 1) mesh
+    assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
+                 "--out", str(tmp_path / "cli")]) == 0
+    select = extract.select_afp if method == "afp" else extract.select_dlp
+    sel = select(meshgen.generate_mesh(family, max(n, 1)), n)
+    (tmp_path / "lib").mkdir()
+    fileio.write_extraction_csv(tmp_path / "lib" / f"{family}{n}_{method}.csv", sel)
+    for suffix in (".csv", ".json"):
+        name = f"{family}{n}_{method}{suffix}"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_usage_error_exits_1(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wamcyl.densela import (
+    RANK_TOL,
     PivotRecord,
     cond_2,
     cond_inf,
@@ -10,6 +11,7 @@ from wamcyl.densela import (
     solve,
 )
 from wamcyl.errors import RankDeficiencyError, SingularMatrixError
+from wamcyl.polybasis import basis_size
 
 
 def test_qr_identity_tie_break():
@@ -80,6 +82,51 @@ def test_lu_singularity():
         lu_row_pivot(np.zeros((3, 2)))
     A = np.ones((4, 2))  # second column dependent
     with pytest.raises(SingularMatrixError):
+        lu_row_pivot(A)
+
+
+def _lu_unblocked(A):
+    """Reference: right-looking elimination, one rank-1 update per column,
+    first-max pivot, full-row swap."""
+    U = np.array(A, dtype=float)
+    n_rows, n_cols = U.shape
+    tol_abs = RANK_TOL * np.abs(U).max()
+    perm = np.arange(n_rows)
+    mags = np.empty(n_cols)
+    for k in range(n_cols):
+        col = np.abs(U[k:, k])
+        p = k + int(np.argmax(col))
+        mags[k] = col[p - k]
+        if mags[k] < tol_abs:
+            raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
+        if p != k:
+            U[[k, p]] = U[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
+        mult = U[k + 1 :, k] / U[k, k]
+        U[k + 1 :, k + 1 :] -= mult[:, None] * U[k, k + 1 :]
+    return perm, mags
+
+
+def test_lu_matches_unblocked_elimination():
+    # widths up to basis_size(6) = 84 cross up to seven degree panels, cut
+    # anywhere inside the last one
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(1, basis_size(6) + 1))
+        m = int(rng.integers(n, n + 120))
+        A = rng.standard_normal((m, n))
+        rec = lu_row_pivot(A)
+        perm, mags = _lu_unblocked(A)
+        np.testing.assert_array_equal(rec.order, perm)
+        np.testing.assert_allclose(rec.magnitudes, mags, rtol=1e-12, atol=0)
+
+
+def test_lu_singularity_in_a_later_panel():
+    # column 12 lies in the degree-3 panel (columns 10..19), so it is
+    # reached through the panel's triangular solve and GEMM
+    A = np.random.default_rng(6).standard_normal((30, 20))
+    A[:, 12] = A[:, 3]
+    with pytest.raises(SingularMatrixError, match="at column 12$"):
         lu_row_pivot(A)
 
 

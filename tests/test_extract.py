@@ -79,6 +79,20 @@ def test_dlp_prefix_same_matrix():
     np.testing.assert_array_equal(full, part)
 
 
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_dlp_prefix_every_degree_preconditioned(family):
+    # the same prefix property at every degree boundary of a degree-10
+    # matrix after two orthogonalization steps
+    n = 10
+    V = polybasis.vandermonde(polybasis.enumerate_basis(n), meshgen.generate_mesh(family, n))
+    U = V @ orthogonalize(V, 2)
+    full = densela.lu_row_pivot(U).order
+    for d in range(n):
+        nd = polybasis.basis_size(d)
+        part = densela.lu_row_pivot(U[:, :nd]).order[:nd]
+        np.testing.assert_array_equal(full[:nd], part)
+
+
 @pytest.mark.parametrize("n", [3, 5, 8, 10])
 def test_dlp_degree_nesting_unpreconditioned(n):
     mesh = meshgen.wam1(5) if n <= 5 else meshgen.wam1(10)
