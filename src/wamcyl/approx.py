@@ -107,9 +107,10 @@ def lebesgue_constant(nodes, control):
 def build_lsq(mesh, n, steps=2):
     """Discrete least-squares projector on the mesh for degree n.
 
-    The fit formula P (Q^T samples) presumes Q numerically orthonormal,
-    which needs steps >= 1; one step suffices on well-conditioned bases
-    and two make the defect negligible.
+    Q is the preconditioned iterate U = V P of `extract.precondition`.  The
+    fit formula P (Q^T samples) presumes Q numerically orthonormal, which
+    needs steps >= 1; one step suffices on well-conditioned bases and two
+    make the defect negligible.
     """
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
     P, q = extract.precondition(V, steps)

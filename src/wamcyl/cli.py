@@ -94,9 +94,9 @@ def cmd_extract(args):
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  The mesh Vandermonde V and its preconditioned forms V P
-    feed both node selection and the least-squares projector; the
-    selection holds the one LU of its node Vandermonde."""
+    most once.  The mesh Vandermonde V and its preconditioned iterates U
+    (V P up to rounding) feed both node selection and the least-squares
+    projector; the selection holds the one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
         self.family, self.degree, self.method = family, degree, method
@@ -109,7 +109,7 @@ class DegreeRun:
         return meshgen.generate_mesh(self.family, max(self.degree, 1))
 
     def _preconditioned(self, steps):
-        """(P, V P) for `steps` orthogonalization steps of V."""
+        """(P, U) for `steps` orthogonalization steps of V."""
         if not self._bases:
             basis = polybasis.enumerate_basis(self.degree)
             self._bases["V"] = polybasis.vandermonde(basis, self.mesh)
@@ -131,7 +131,7 @@ class DegreeRun:
         return approx.projector_norms(self.degree, matrices, self._control())
 
     def _control(self):
-        self._bases.clear()  # the control pass needs none of V, V P and Q
+        self._bases.clear()  # the control pass needs neither V nor an iterate U
         return meshgen.control_mesh(self.family, self.degree, self.control_mult)
 
     def metrics_rows(self):

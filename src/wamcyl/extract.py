@@ -1,7 +1,8 @@
 """Node extraction from a WAM: approximate Fekete and discrete Leja points.
 
 Both extractions act on the rectangular Vandermonde of the graded basis,
-optionally after an iterated change to a mesh-discretely-orthonormal basis.
+optionally after an iterated change to a mesh-discretely-orthonormal basis:
+one Householder R (Q is never formed), then Cholesky steps on the iterate.
 Approximate Fekete points come from column-pivoted QR of the transposed
 matrix; discrete Leja points from row-pivoted LU.  The discrete Leja
 selection depends on the basis ordering, which the graded ordering of
@@ -44,11 +45,18 @@ class ExtractionResult:
 
 
 def orthogonalize(V, steps):
-    """Iterated QR orthogonalization of the basis on the mesh.
+    """The transform P of `precondition`: V @ P has (numerically)
+    orthonormal columns; steps = 0 returns the identity."""
+    return precondition(V, steps)[0]
 
-    Returns the transform P such that V @ P has (numerically) orthonormal
-    columns: the product of inverse triangular factors from `steps`
-    successive QR factorizations; steps = 0 returns the identity.
+
+def precondition(V, steps):
+    """(P, U): `steps` orthogonalization steps of the mesh Vandermonde V.
+
+    Step one takes R from a Householder QR of V without forming Q, each
+    later step the Cholesky factor of U^T U; both set U <- U R^-1 and
+    P <- P R^-1, so U is V P up to rounding and is V itself for steps = 0.
+    Node selection and the least-squares projector share P and U.
     """
     V = np.asarray(V, dtype=float)
     m, n = V.shape
@@ -56,27 +64,20 @@ def orthogonalize(V, steps):
         raise ValueError(f"mesh of {m} points cannot support {n} basis elements")
     if steps < 0:
         raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
-    P = np.eye(n)
-    cur = V
-    for _ in range(steps):
-        Q, R = np.linalg.qr(cur)
-        sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)  # canonical: diag(R) > 0
-        Q = Q * sign
-        R = R * sign[:, None]
+    P, U = np.eye(n), V
+    for step in range(steps):
+        if step == 0:
+            R = np.linalg.qr(U, mode="r")
+            R = R * np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]  # canonical: diag(R) > 0
+        else:
+            R = scipy.linalg.cholesky(U.T @ U)
         diag = np.diag(R)
         if diag.max() <= 0.0 or diag.min() < densela.RANK_TOL * diag.max():
             raise RankDeficiencyError("basis is rank deficient on this mesh")
-        P = P @ scipy.linalg.solve_triangular(R, np.eye(n))
-        cur = Q
-    return P
-
-
-def precondition(V, steps):
-    """(P, V P): the transform of `steps` orthogonalization steps of the
-    mesh Vandermonde V and the preconditioned Vandermonde, V itself for
-    steps = 0.  Node selection and the least-squares projector share it."""
-    P = orthogonalize(V, steps)
-    return P, (V @ P if steps else V)
+        Rinv = scipy.linalg.solve_triangular(R, np.eye(n))
+        P = P @ Rinv
+        U = U @ Rinv
+    return P, U
 
 
 def select_nodes(mesh, n, method, U, ortho_steps):

@@ -167,7 +167,7 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     # the default --ortho-steps 2, one LU of the node Vandermonde and one
     # pass over the control mesh
     built, counts = {}, {"ortho": 0, "lu": 0, "scan": 0}
-    vandermonde, orthogonalize = polybasis.vandermonde, extract.orthogonalize
+    vandermonde, precondition = polybasis.vandermonde, extract.precondition
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
 
     def counted_vandermonde(basis, pts):
@@ -182,7 +182,7 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(polybasis, "vandermonde", counted_vandermonde)
-    monkeypatch.setattr(extract, "orthogonalize", counter("ortho", orthogonalize))
+    monkeypatch.setattr(extract, "precondition", counter("ortho", precondition))
     monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
     monkeypatch.setattr(polybasis, "scan", counter("scan", scan))
     degrees = (2, 3)
@@ -224,7 +224,7 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
     import wamcyl.cli as cli
 
     monkeypatch.setattr(cli, "REPRODUCE_DEGREES", [3])
-    orthogonalize = extract.orthogonalize
+    precondition = extract.precondition
 
     def forbidden(*args, **kwargs):
         raise AssertionError("stage built for a table that does not use it")
@@ -233,10 +233,10 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
         # tables 1-4 extract with zero steps; only a projector orthogonalizes
         if steps:
             forbidden()
-        return orthogonalize(V, steps)
+        return precondition(V, steps)
 
     with monkeypatch.context() as m:
-        m.setattr(extract, "orthogonalize", no_lsq)
+        m.setattr(extract, "precondition", no_lsq)
         assert main(["reproduce", "--table", "3", "--out", str(tmp_path)]) == 0
     with monkeypatch.context() as m:
         m.setattr(densela, "qr_col_pivot", forbidden)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wamcyl import densela, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
-from wamcyl.extract import orthogonalize, select_afp, select_dlp
+from wamcyl.extract import orthogonalize, precondition, select_afp, select_dlp
 from wamcyl.meshgen import Mesh
 
 
@@ -19,6 +20,45 @@ def test_orthogonalize_defect_two_steps():
     P = orthogonalize(V, 2)
     Q = V @ P
     assert np.abs(Q.T @ Q - np.eye(56)).max() <= 1e-8
+
+
+def _explicit_q_transform(V, steps):
+    # the reference loop: an explicit Householder Q per step, the
+    # signs made canonical (diag(R) > 0), P the product of the R^-1
+    n = V.shape[1]
+    P, cur = np.eye(n), V
+    for _ in range(steps):
+        Q, R = np.linalg.qr(cur)
+        sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+        P = P @ scipy.linalg.solve_triangular(R * sign[:, None], np.eye(n))
+        cur = Q * sign
+    return P
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_precondition_matches_explicit_q_reference(family, n, steps):
+    V = polybasis.vandermonde(polybasis.enumerate_basis(n), meshgen.generate_mesh(family, n))
+    P, U = precondition(V, steps)
+    ref = _explicit_q_transform(V, steps)
+    assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(U - V @ P).max() <= 1e-13
+    assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
+
+
+def test_orthogonalize_accepts_graded_conditioning():
+    # singular values graded from 1 to 1e-10: the first step still meets the
+    # rank check, and the second brings the defect of V P down
+    rng = np.random.default_rng(0)
+    left, _ = np.linalg.qr(rng.standard_normal((300, 30)))
+    right, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    V = (left * np.logspace(0, -10, 30)) @ right.T
+    Q = V @ orthogonalize(V, 2)
+    assert np.abs(Q.T @ Q - np.eye(30)).max() <= 1e-6
+    V[:, 7] = V[:, 3]
+    with pytest.raises(RankDeficiencyError):
+        orthogonalize(V, 2)
 
 
 def test_orthogonalize_orthonormal_input():
@@ -82,15 +122,16 @@ def test_dlp_prefix_same_matrix():
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_dlp_prefix_every_degree_preconditioned(family):
     # the same prefix property at every degree boundary of a degree-10
-    # matrix after two orthogonalization steps
+    # matrix after two orthogonalization steps: on V P, and on the iterate
+    # U that extraction pivots
     n = 10
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), meshgen.generate_mesh(family, n))
-    U = V @ orthogonalize(V, 2)
-    full = densela.lu_row_pivot(U).order
-    for d in range(n):
-        nd = polybasis.basis_size(d)
-        part = densela.lu_row_pivot(U[:, :nd]).order[:nd]
-        np.testing.assert_array_equal(full[:nd], part)
+    for U in (V @ orthogonalize(V, 2), precondition(V, 2)[1]):
+        full = densela.lu_row_pivot(U).order
+        for d in range(n):
+            nd = polybasis.basis_size(d)
+            part = densela.lu_row_pivot(U[:, :nd]).order[:nd]
+            np.testing.assert_array_equal(full[:nd], part)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 10])
