@@ -6,8 +6,7 @@ interpolants can be evaluated and compared across modules.  Sup norms over
 large control meshes are reductions of X b(x) over one stream of point
 blocks (polybasis.scan), which runs tensor grid by tensor grid and z node
 by z node; the maximum is order-independent, so neither the blocking nor
-the order of the points changes results.  Values wanted in point order
-are scattered to it by the block's row indices.
+the order of the points changes results.
 """
 
 from dataclasses import dataclass, field
@@ -41,17 +40,8 @@ def interpolate(nodes, samples):
 
 def eval_interpolant(q, pts):
     """Values of the interpolant at the given points (Mesh or array)."""
-    basis = polybasis.enumerate_basis(q.degree)
     C = q.coefficients
-    CT = C.reshape(len(basis), -1).T
-    pts = np.asarray(getattr(pts, "points", pts), dtype=float)
-    out = np.empty((pts.shape[0], CT.shape[0]))
-
-    def scatter(rows, R):
-        out[rows] = R.T
-
-    for _ in polybasis.scan(basis, CT, pts, scatter):
-        pass
+    out = polybasis.evaluate(polybasis.enumerate_basis(q.degree), C.reshape(len(C), -1), pts)
     return out.reshape((-1,) + C.shape[1:])
 
 
@@ -107,13 +97,12 @@ def lebesgue_constant(nodes, control):
 def build_lsq(mesh, n, steps=2):
     """Discrete least-squares projector on the mesh for degree n.
 
-    Q is the preconditioned iterate U = V P of `extract.precondition`.  The
-    fit formula P (Q^T samples) presumes Q numerically orthonormal, which
-    needs steps >= 1; one step suffices on well-conditioned bases and two
-    make the defect negligible.
+    Q is the iterate U = V P of `extract.precondition`, formed without
+    building V.  The fit formula P (Q^T samples) presumes Q numerically
+    orthonormal, which needs steps >= 1; one step suffices on
+    well-conditioned bases and two make the defect negligible.
     """
-    V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
-    P, q = extract.precondition(V, steps)
+    P, q = extract.precondition(mesh, n, steps)
     return LsqProjector(mesh=mesh, degree=n, transform=P, q=q)
 
 

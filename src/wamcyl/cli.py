@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
+from . import approx, cubature, densela, extract, fileio, meshgen, testfns
 from .errors import WamcylError
 
 MESH_CHOICES = ("wam1", "wam2", "disk", "padua", "cheb")
@@ -94,9 +94,9 @@ def cmd_extract(args):
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  The mesh Vandermonde V and its preconditioned iterates U
-    (V P up to rounding) feed both node selection and the least-squares
-    projector; the selection holds the one LU of its node Vandermonde."""
+    most once.  The preconditioned iterate U = V P of each step count feeds
+    node selection and the least-squares projector (V is built only for
+    0-step selection); the selection holds the one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
         self.family, self.degree, self.method = family, degree, method
@@ -109,12 +109,9 @@ class DegreeRun:
         return meshgen.generate_mesh(self.family, max(self.degree, 1))
 
     def _preconditioned(self, steps):
-        """(P, U) for `steps` orthogonalization steps of V."""
-        if not self._bases:
-            basis = polybasis.enumerate_basis(self.degree)
-            self._bases["V"] = polybasis.vandermonde(basis, self.mesh)
+        """(P, U) of extract.precondition for `steps` orthogonalization steps."""
         if steps not in self._bases:
-            self._bases[steps] = extract.precondition(self._bases["V"], steps)
+            self._bases[steps] = extract.precondition(self.mesh, self.degree, steps)
         return self._bases[steps]
 
     @cached_property
@@ -131,7 +128,7 @@ class DegreeRun:
         return approx.projector_norms(self.degree, matrices, self._control())
 
     def _control(self):
-        self._bases.clear()  # the control pass needs neither V nor an iterate U
+        self._bases.clear()  # the control pass needs no iterate U
         return meshgen.control_mesh(self.family, self.degree, self.control_mult)
 
     def metrics_rows(self):

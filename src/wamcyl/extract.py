@@ -1,8 +1,8 @@
 """Node extraction from a WAM: approximate Fekete and discrete Leja points.
 
-Both extractions act on the rectangular Vandermonde of the graded basis,
-optionally after an iterated change to a mesh-discretely-orthonormal basis:
-one Householder R (Q is never formed), then Cholesky steps on the iterate.
+Both extractions act on the rectangular Vandermonde V of the graded basis,
+optionally after an iterated change to a mesh-discretely-orthonormal basis
+U = V P, from Cholesky steps on V^T V built from the mesh's tensor grids.
 Approximate Fekete points come from column-pivoted QR of the transposed
 matrix; discrete Leja points from row-pivoted LU.  The discrete Leja
 selection depends on the basis ordering, which the graded ordering of
@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrmm as trmm
+from scipy.linalg.lapack import dtrtri
 
 from . import densela, polybasis
 from .errors import RankDeficiencyError
@@ -44,20 +46,41 @@ class ExtractionResult:
         return densela.lu_factor_checked(self.vandermonde)
 
 
+# largest CholeskyQR error bound of the Gram path: above the <= 2e-13 of the
+# WAMs up to n = 25, below the 1e-5 of wam1(5) squeezed tenfold in z
+GRAM_BOUND = 1e-11
+
+
 def orthogonalize(V, steps):
-    """The transform P of `precondition`: V @ P has (numerically)
-    orthonormal columns; steps = 0 returns the identity."""
-    return precondition(V, steps)[0]
+    """The P of `_householder`: V @ P has (numerically) orthonormal columns."""
+    return _householder(V, steps)[0]
 
 
-def precondition(V, steps):
-    """(P, U): `steps` orthogonalization steps of the mesh Vandermonde V.
+def precondition(mesh, n, steps):
+    """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
+    of the mesh, U = V P, shared by node selection and least squares.  P
+    comes from Cholesky steps on G = V^T V (polybasis.gram) and U from one
+    grid scan, without V; V is built for steps = 0, giving (I, V), and for
+    `_householder` where G is not numerically positive definite or the
+    bound eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
+    basis = polybasis.enumerate_basis(n)
+    if steps > 0:
+        G = polybasis.gram(basis, mesh)
+        try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
+            P = dtrtri(scipy.linalg.cholesky(G))[0]
+            if np.finfo(float).eps * (np.abs(P).T @ np.sqrt(np.diag(G))).max() ** 2 <= GRAM_BOUND:
+                for _ in range(steps - 1):
+                    W = trmm(1.0, P, trmm(1.0, P, G, side=1), trans_a=1)  # P^T G P
+                    P = trmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
+                return P, polybasis.evaluate(basis, P, mesh)
+        except np.linalg.LinAlgError:
+            pass
+    return _householder(polybasis.vandermonde(basis, mesh), steps)
 
-    Step one takes R from a Householder QR of V without forming Q, each
-    later step the Cholesky factor of U^T U; both set U <- U R^-1 and
-    P <- P R^-1, so U is V P up to rounding and is V itself for steps = 0.
-    Node selection and the least-squares projector share P and U.
-    """
+
+def _householder(V, steps):
+    """(P, U) for the matrix V: R from a Householder QR of V (no Q formed),
+    then the Cholesky factor of U^T U per later step; U <- U R^-1, P <- P R^-1."""
     V = np.asarray(V, dtype=float)
     m, n = V.shape
     if m < n:
@@ -94,16 +117,11 @@ def select_nodes(mesh, n, method, U, ortho_steps):
                             mesh_family=mesh.family, indices=idx, nodes=mesh.points[idx])
 
 
-def _select(mesh, n, method, ortho_steps):
-    _, U = precondition(polybasis.vandermonde(polybasis.enumerate_basis(n), mesh), ortho_steps)
-    return select_nodes(mesh, n, method, U, ortho_steps)
-
-
 def select_afp(mesh, n, ortho_steps=2):
     """Approximate Fekete points of degree n extracted from the mesh."""
-    return _select(mesh, n, "afp", ortho_steps)
+    return select_nodes(mesh, n, "afp", precondition(mesh, n, ortho_steps)[1], ortho_steps)
 
 
 def select_dlp(mesh, n, ortho_steps=2):
     """Discrete Leja points of degree n extracted from the mesh."""
-    return _select(mesh, n, "dlp", ortho_steps)
+    return select_nodes(mesh, n, "dlp", precondition(mesh, n, ortho_steps)[1], ortho_steps)

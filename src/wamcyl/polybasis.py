@@ -10,9 +10,9 @@ with indices 0 <= j <= k <= i <= n.  The ordering is graded lexicographic
 in (i, k, j), so the leading (m+1)(m+2)(m+3)/6 elements span exactly the
 polynomials of total degree <= m for every m <= n.
 
-`scan` streams reductions of X b(x) over any point set without building
-its Vandermonde: it finds the tensor grids xy x z among the points and
-contracts the z factor first.
+`scan` (and `evaluate` through it) streams X b(x) over any point set
+without building its Vandermonde: it finds the tensor grids xy x z among
+the points and contracts the z factor first; `gram` uses the same grids.
 """
 
 from dataclasses import dataclass
@@ -148,20 +148,16 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     then yields the list of their reductions, every (K, m) product formed
     and reduced before the next.  Only the reductions leave the generator.
 
-    No Vandermonde is built.  The points are split into tensor grids
-    xy x z (_slabs); the R = (n+1)(n+2)/2 ridge factors are evaluated once,
-    on the xy rows of all grids together (an R x sum(xy) array), and per z
-    node X is contracted with the z factors into Y (K, R), so a block's
-    product is Y @ ridges: about 2*K*R*M flops in place of 2*K*N*M (sum
-    factorization).  Blocks come in grid order and cover every point
+    No Vandermonde is built: per tensor grid xy x z of the points (_grids)
+    and z node, X is contracted with the z factors into Y (K, R), so a
+    block's product is Y @ ridges, about 2*K*R*M flops in place of 2*K*N*M
+    (sum factorization).  Blocks come in grid order and cover every point
     exactly once.
 
     Points per block keep the largest K and the `live_per_row` float64
     values per point that `reduce` keeps alive within _BLOCK_VALUES.
     """
     Xs = X if isinstance(X, list) else [X]
-    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
-    _validate_points(pts)
     n = basis.degree
     # columns of z degree m in ridge order (k, j): the ridge factors with
     # k <= n - m, a prefix of all R of them
@@ -170,15 +166,7 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     parts = [[np.ascontiguousarray(x[:, c].T) for c in cols] for x in Xs]
     per_point = max(x.shape[0] for x in Xs) + live_per_row
     step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
-    slabs = _slabs(pts)
-    if not slabs:  # no points: nothing to concatenate, no blocks
-        return
-    xy = np.concatenate([g[0] for g in slabs])
-    ridges = np.empty((len(cols[0]), len(xy)))
-    for r, (_, _, u) in enumerate(_ridge_factors(n, xy[:, 0], xy[:, 1])):
-        ridges[r] = u
-    ends = np.cumsum([len(g[0]) for g in slabs])
-    for (_, z, rows), U in zip(slabs, np.split(ridges, ends[:-1], axis=1)):
+    for U, z, rows in _grids(n, mesh):
         tz = _t_tilde_all(n, z)
         for q in range(z.size):
             YTs = [_contract_z(xm, tz[:, q]) for xm in parts]
@@ -188,6 +176,42 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
                 out = [reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)
                        for YT in YTs]
                 yield out if isinstance(X, list) else out[0]
+
+
+def evaluate(basis, C, mesh):
+    """vandermonde(basis, mesh) @ C for C of shape (N, K), by one scan."""
+    out = np.empty((len(getattr(mesh, "points", mesh)), C.shape[1]))
+    for rows, R in scan(basis, C.T, mesh, lambda rows, R: (rows, R)):
+        out[rows] = R.T  # scattered to point order
+    return out
+
+
+def gram(basis, mesh):
+    """V^T V for V = vandermonde(basis, mesh), without building V: on each
+    tensor grid V = (A kron B)[:, S], A the ridge and B the z factors, S the
+    basis columns, so V^T V = sum over grids of (A^T A kron B^T B)[S, S]."""
+    r, m = np.array([(k * (k + 1) // 2 + j, i - k) for i, k, j in basis.indices]).T
+    G = np.zeros((len(basis), len(basis)))
+    for A, z, _ in _grids(basis.degree, mesh):
+        tz = _t_tilde_all(basis.degree, z)
+        G += (A @ A.T)[np.ix_(r, r)] * (tz @ tz.T)[np.ix_(m, m)]
+    return G
+
+
+def _grids(n, mesh):
+    # (ridges, z, rows) per tensor grid of _slabs; ridges is the grid's (R, xy)
+    # slice of one evaluation of the R = (n+1)(n+2)/2 ridge factors on all grids
+    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
+    _validate_points(pts)
+    slabs = _slabs(pts)
+    if not slabs:  # no points: nothing to concatenate, no grids
+        return []
+    xy = np.concatenate([g[0] for g in slabs])
+    ridges = np.empty(((n + 1) * (n + 2) // 2, len(xy)))
+    for r, (_, _, u) in enumerate(_ridge_factors(n, xy[:, 0], xy[:, 1])):
+        ridges[r] = u
+    ends = np.cumsum([len(g[0]) for g in slabs])
+    return [(A, z, rows) for (_, z, rows), A in zip(slabs, np.split(ridges, ends[:-1], axis=1))]
 
 
 def _slabs(pts):

@@ -162,11 +162,12 @@ def _blake(pts):
 
 
 def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
-    # per degree: one mesh Vandermonde (no Vandermonde is ever rebuilt),
-    # one orthogonalization shared by selection and least squares under
-    # the default --ortho-steps 2, one LU of the node Vandermonde and one
-    # pass over the control mesh
-    built, counts = {}, {"ortho": 0, "lu": 0, "scan": 0}
+    # per degree under the default --ortho-steps 2: no mesh Vandermonde (the
+    # preconditioner works from the mesh's tensor grids) and no Vandermonde
+    # ever rebuilt, one preconditioning shared by selection and least
+    # squares, one LU of the node Vandermonde, one pass over the mesh (for
+    # U) and one pass over the control mesh
+    built, counts = {}, {"ortho": 0, "lu": 0, "mesh_scan": 0, "control_scan": 0}
     vandermonde, precondition = polybasis.vandermonde, extract.precondition
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
 
@@ -181,27 +182,35 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    def counted_scan(basis, X, pts, *args, **kwargs):
+        key = _blake(pts)
+        assert key in passes, "scan over a point set that is neither mesh nor control mesh"
+        counts[passes[key]] += 1
+        return scan(basis, X, pts, *args, **kwargs)
+
     monkeypatch.setattr(polybasis, "vandermonde", counted_vandermonde)
     monkeypatch.setattr(extract, "precondition", counter("ortho", precondition))
     monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
-    monkeypatch.setattr(polybasis, "scan", counter("scan", scan))
+    monkeypatch.setattr(polybasis, "scan", counted_scan)
     degrees = (2, 3)
     for argv in (["metrics", "--mesh", "wam2", "--method", "afp"],
                  ["errors", "--mesh", "wam1", "--method", "dlp", "--function", "f3",
                   "--function", "f6"]):
         built.clear()
-        counts.update(ortho=0, lu=0, scan=0)
-        assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
+        counts.update(ortho=0, lu=0, mesh_scan=0, control_scan=0)
         meshes = [meshgen.generate_mesh(argv[2], n) for n in degrees]
-        assert all(built.get((_blake(m), m.degree)) == 1 for m in meshes)
-        assert max(built.values()) == 1
-        assert counts == {"ortho": 2, "lu": 2, "scan": 2}
+        passes = {_blake(m): "mesh_scan" for m in meshes}
+        passes.update({_blake(meshgen.control_mesh(argv[2], n)): "control_scan" for n in degrees})
+        assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
+        assert not any((_blake(m), m.degree) in built for m in meshes)
+        assert len(built) == 2 and max(built.values()) == 1  # the nodes of each degree
+        assert counts == {"ortho": 2, "lu": 2, "mesh_scan": 2, "control_scan": 2}
 
 
 def test_control_scans_build_no_control_vandermonde(tmp_path, monkeypatch):
-    # the control scans contract through the tensor grids of the control mesh, so
-    # every Vandermonde a run builds is on rows of its own meshes: the mesh
-    # and the nodes selected from it
+    # the control scans contract through the tensor grids of the control mesh
+    # and the 2-step preconditioner through those of the mesh, so the only
+    # Vandermonde a run builds is on rows of its own mesh: the selected nodes
     built = []
     vandermonde = polybasis.vandermonde
 
@@ -216,7 +225,7 @@ def test_control_scans_build_no_control_vandermonde(tmp_path, monkeypatch):
         built.clear()
         assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
         own = {row.tobytes() for n in (2, 3) for row in meshgen.generate_mesh(argv[2], n).points}
-        assert len(built) == 4  # per degree: the mesh and its nodes
+        assert len(built) == 2  # per degree: its nodes
         assert all(row.tobytes() in own for pts in built for row in pts)
 
 
@@ -229,11 +238,11 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stage built for a table that does not use it")
 
-    def no_lsq(V, steps):
+    def no_lsq(mesh, n, steps):
         # tables 1-4 extract with zero steps; only a projector orthogonalizes
         if steps:
             forbidden()
-        return precondition(V, steps)
+        return precondition(mesh, n, steps)
 
     with monkeypatch.context() as m:
         m.setattr(extract, "precondition", no_lsq)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from wamcyl import densela, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
-from wamcyl.extract import orthogonalize, precondition, select_afp, select_dlp
+from wamcyl.extract import _householder, orthogonalize, precondition, select_afp, select_dlp
 from wamcyl.meshgen import Mesh
 
 
@@ -39,12 +39,26 @@ def _explicit_q_transform(V, steps):
 @pytest.mark.parametrize("n", [5, 10])
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_precondition_matches_explicit_q_reference(family, n, steps):
-    V = polybasis.vandermonde(polybasis.enumerate_basis(n), meshgen.generate_mesh(family, n))
-    P, U = precondition(V, steps)
+    mesh = meshgen.generate_mesh(family, n)
+    V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
+    P, U = precondition(mesh, n, steps)
     ref = _explicit_q_transform(V, steps)
     assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(U - V @ P).max() <= 1e-13
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
+
+
+def test_precondition_falls_back_where_the_gram_matrix_is_inaccurate():
+    # wam1(5) squeezed tenfold in z: cond(V^T V) is large enough that Cholesky
+    # steps on V^T V leave a defect near 1e-6, so the Householder path runs
+    pts = meshgen.wam1(5).points * np.array([1.0, 1.0, 0.1])
+    mesh = Mesh("wam1", 5, pts)
+    P, U = precondition(mesh, 5, 2)
+    assert np.abs(U.T @ U - np.eye(56)).max() <= 1e-13
+    V = polybasis.vandermonde(polybasis.enumerate_basis(5), mesh)
+    ref_P, ref_U = _householder(V, 2)
+    assert np.abs(P - ref_P).max() <= 1e-13 * np.abs(ref_P).max()
+    assert np.abs(U - ref_U).max() <= 1e-13
 
 
 def test_orthogonalize_accepts_graded_conditioning():
@@ -125,8 +139,9 @@ def test_dlp_prefix_every_degree_preconditioned(family):
     # matrix after two orthogonalization steps: on V P, and on the iterate
     # U that extraction pivots
     n = 10
-    V = polybasis.vandermonde(polybasis.enumerate_basis(n), meshgen.generate_mesh(family, n))
-    for U in (V @ orthogonalize(V, 2), precondition(V, 2)[1]):
+    mesh = meshgen.generate_mesh(family, n)
+    V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
+    for U in (V @ orthogonalize(V, 2), precondition(mesh, n, 2)[1]):
         full = densela.lu_row_pivot(U).order
         for d in range(n):
             nd = polybasis.basis_size(d)
