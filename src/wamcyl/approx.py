@@ -7,6 +7,16 @@ large control meshes are reductions of X b(x) over one stream of point
 blocks (polybasis.scan), which runs tensor grid by tensor grid and z node
 by z node; the maximum is order-independent, so neither the blocking nor
 the order of the points changes results.
+
+The least-squares operator norm is a maximum over orbit representatives of
+the evaluation points.  Its Lebesgue function x -> ||Q P^T b(x)||_1 is
+invariant under every isometry of the cylinder that maps the mesh onto
+itself, since such a map also maps the polynomial space onto itself (Bos,
+Calvi, Levenberg, Sommariva, Vianello, Math. Comp. 2011).  The isometries
+are verified point by point on the mesh and on the evaluation set
+(meshgen.orbit_representatives); where none verifies, the whole set is
+scanned.  The Lebesgue constant of interpolation gets no such reduction,
+because the nodes are not symmetric.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import extract, polybasis
+from . import extract, meshgen, polybasis
 
 
 @dataclass(frozen=True)
@@ -77,21 +87,17 @@ def lsq_matrix(proj):
     return proj.q @ proj.transform.T
 
 
-def projector_norms(degree, matrices, pts):
-    """Lebesgue constants max over pts of ||X b(x)||_1 of linear projectors.
-
-    Every (K, N) matrix X, in the graded basis of the degree, is reduced
-    against each block of one stream over pts, one product at a time.
-    """
-    basis = polybasis.enumerate_basis(degree)
-    norms = polybasis.scan(basis, list(matrices), pts,
+def _projector_norm(degree, X, pts):
+    """Lebesgue constant max over pts of ||X b(x)||_1 of a linear projector,
+    X (K, N) in the graded basis of the degree, from one stream over pts."""
+    norms = polybasis.scan(polybasis.enumerate_basis(degree), X, pts,
                            lambda _, G: np.abs(G, out=G).sum(axis=0).max())
-    return [float(v) for v in np.max(list(norms), axis=0)]
+    return float(max(norms))
 
 
 def lebesgue_constant(nodes, control):
     """Max over the control mesh of the 1-norm of the Lagrange values."""
-    return projector_norms(nodes.degree, [lagrange_matrix(nodes)], control)[0]
+    return _projector_norm(nodes.degree, lagrange_matrix(nodes), control)
 
 
 def build_lsq(mesh, n, steps=2):
@@ -117,7 +123,11 @@ def lsq_fit(proj, samples):
 def lsq_norm(proj, eval_on=None):
     """Operator norm of the projector: max over points of ||Q P^T b(x)||_1.
 
-    Defaults to evaluating on the projector's own mesh.
+    Defaults to evaluating on the projector's own mesh.  The maximum is
+    taken over meshgen.orbit_representatives of the evaluation points (see
+    the module docstring for why that is the maximum over all of them).
     """
-    pts = proj.mesh if eval_on is None else eval_on
-    return projector_norms(proj.degree, [lsq_matrix(proj)], pts)[0]
+    on = proj.mesh if eval_on is None else eval_on
+    pts = np.asarray(getattr(on, "points", on), dtype=float)
+    rows = meshgen.orbit_representatives(proj.mesh, pts).rows
+    return _projector_norm(proj.degree, lsq_matrix(proj), pts[rows])

@@ -123,22 +123,20 @@ class DegreeRun:
         P, q = self._preconditioned(LSQ_STEPS)
         return approx.LsqProjector(mesh=self.mesh, degree=self.degree, transform=P, q=q)
 
-    def norms(self, *matrices):
-        """approx.projector_norms of the matrices in one control-mesh pass."""
-        return approx.projector_norms(self.degree, matrices, self._control())
-
-    def _control(self):
-        self._bases.clear()  # the control pass needs no iterate U
+    def control(self):
+        """The control mesh.  Drops the cached iterates U, which no control
+        pass needs; a projector taken before keeps its own."""
+        self._bases.clear()
         return meshgen.control_mesh(self.family, self.degree, self.control_mult)
 
     def metrics_rows(self):
         n, method, family = self.degree, self.method, self.family
-        lam, lsq = self.norms(approx.lagrange_matrix(self.selection),
-                              approx.lsq_matrix(self.projector()))
+        sel, proj = self.selection, self.projector()
+        control = self.control()
         return [
-            (n, method, family, "lebesgue", lam),
-            (n, method, family, "cond_inf", densela.cond_2(self.selection.vandermonde)),
-            (n, "lsq", family, "lsq_norm", lsq),
+            (n, method, family, "lebesgue", approx.lebesgue_constant(sel, control)),
+            (n, method, family, "cond_inf", densela.cond_2(sel.vandermonde)),
+            (n, "lsq", family, "lsq_norm", approx.lsq_norm(proj, control)),
         ]
 
     def error_rows(self, refs):
@@ -155,7 +153,7 @@ class DegreeRun:
         interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
         fit = approx.lsq_fit(self.projector(), _samples(fns, self.mesh.points))
         err, sup_f = approx.sup_errors(n, np.hstack([interp, fit]),
-                                       lambda pts: np.tile(_samples(fns, pts), 2), self._control())
+                                       lambda pts: np.tile(_samples(fns, pts), 2), self.control())
         rel = (err / sup_f).reshape(2, len(fns))
         rows = []
         for i, (fid, fn) in enumerate(zip(refs, fns)):
@@ -222,7 +220,7 @@ def cmd_reproduce(args):
         for n in degrees:
             runs = [DegreeRun(family, n, control_mult=args.control_mult)
                     for family in ("wam1", "wam2")]
-            vals = [n] + [run.norms(approx.lsq_matrix(run.projector()))[0] for run in runs]
+            vals = [n] + [approx.lsq_norm(run.projector(), run.control()) for run in runs]
             rows.append(vals)
             print(f"n={n}: wam1 {vals[1]:.4g}  wam2 {vals[2]:.4g}")
         header = ("n", "lsq_norm_wam1", "lsq_norm_wam2")
@@ -230,7 +228,7 @@ def cmd_reproduce(args):
         family, method = _TABLE_CONFIG[args.table]
         for n in degrees:
             run = DegreeRun(family, n, method, args.ortho_steps, args.control_mult)
-            (lam,) = run.norms(approx.lagrange_matrix(run.selection))
+            lam = approx.lebesgue_constant(run.selection, run.control())
             kappa = densela.cond_2(run.selection.vandermonde)
             rows.append((n, lam, kappa))
             print(f"n={n}: lebesgue {lam:.4g}  cond {kappa:.4g}")

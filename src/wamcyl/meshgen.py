@@ -16,7 +16,9 @@ every angle; each generator masks out those repeats where it makes them,
 keeping the copy at the first angle.
 """
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,6 +201,109 @@ def control_degree(family, n, mult=None):
 def control_mesh(family, n, mult=None):
     """Same-family mesh at the control degree for n."""
     return generate_mesh(family, control_degree(family, n, mult))
+
+
+class Orbits(NamedTuple):
+    """Orbit representatives of a group of isometries of the cylinder.
+
+    The group is generated by the rotation about the z-axis by
+    2*pi/rotations, the reflection in the plane through the axis at angle
+    `axis` (None: no reflection) and, if flip_z, z -> -z.  `rows` indexes
+    the evaluation points kept to represent every orbit.
+    """
+
+    rows: np.ndarray
+    rotations: int
+    axis: float | None
+    flip_z: bool
+
+
+def orbit_representatives(mesh, pts):
+    """Points of pts (a Mesh or (M, 3) array) that meet every orbit of the
+    isometries of the cylinder mapping both mesh and pts onto themselves.
+
+    Candidates are the rotations about the z-axis by multiples of 2*pi/g, g
+    the gcd of the rim point counts of the two sets, the reflections in the
+    planes through the axis at multiples of pi/g, and z -> -z.  One is kept
+    if it maps every z layer of each set (polybasis._slabs) onto a layer of
+    that set, each image within DEDUP_TOL of its own point.  The kept points
+    lie in the fundamental sector of the verified planar group, closed and
+    widened by DEDUP_TOL (angle in [axis, axis + pi/p] for a dihedral group
+    of rotation order p, in [0, 2*pi/p] for a cyclic one), or on the axis,
+    and have z >= 0 if z -> -z verified.  That is a superset of one point
+    per orbit, so any function invariant under the group has the same
+    maximum over them as over pts.  If nothing verifies, every point is kept.
+    """
+    sets = [np.asarray(getattr(s, "points", s), dtype=float) for s in (mesh, pts)]
+    layers = [polybasis._slabs(s) for s in sets]
+    g = math.gcd(*(_rim_count(s) for s in layers))
+    angle = 2 * np.pi * np.arange(g) / g
+    c, s = np.cos(angle), np.sin(angle)
+
+    def verified(A, flip=False):
+        return all(_maps_onto(lay, np.array(A), flip) for lay in layers)
+
+    # rotations by 2*pi*k/g, and reflections in the axes at pi*k/g
+    rot_ok = [k == 0 or verified([[c[k], -s[k]], [s[k], c[k]]]) for k in range(g)]
+    ref_ok = [verified([[c[k], s[k]], [s[k], -c[k]]]) for k in range(g)]
+    # the largest group all of whose elements verified
+    p = max(d for d in range(1, g + 1) if g % d == 0 and all(rot_ok[:: g // d]))
+    axes = [k for k in range(g // p) if all(ref_ok[k :: g // p])]
+    axis = np.pi * axes[0] / g if axes else None
+    flip_z = verified(np.eye(2), flip=True)
+
+    x, y, z = sets[1].T
+    r = np.hypot(x, y)
+    width = 2 * np.pi / p if axis is None else np.pi / p
+    phi = (np.arctan2(y, x) - (axis or 0.0)) % (2 * np.pi)
+    slack = DEDUP_TOL / np.maximum(r, DEDUP_TOL)  # DEDUP_TOL as an angle at radius r
+    keep = (phi <= width + slack) | (phi >= 2 * np.pi - slack) | (r <= DEDUP_TOL)
+    if flip_z:
+        keep &= z >= -DEDUP_TOL
+    return Orbits(np.flatnonzero(keep), p, axis, flip_z)
+
+
+def _rim_count(layers):
+    # distinct points on the outermost circle of the xy sets of the layers
+    xy = np.concatenate([lay[0] for lay in layers])
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    rim = xy[r >= r.max() - DEDUP_TOL]
+    t = np.sort(np.arctan2(rim[:, 1], rim[:, 0]))
+    return max(1, np.count_nonzero(np.diff(t, append=t[0] + 2 * np.pi) > DEDUP_TOL))
+
+
+def _maps_onto(layers, A, flip):
+    # whether (x, y, z) -> (A (x, y), -z if flip else z) maps the layers
+    # (xy, z, rows) of one point set onto layers of the same set, one to one
+    z = np.concatenate([lay[1] for lay in layers])
+    grid = np.repeat(np.arange(len(layers)), [len(lay[1]) for lay in layers])
+    if flip:
+        order = np.argsort(z)
+        j = np.minimum(np.searchsorted(z[order], -z - DEDUP_TOL), z.size - 1)
+        if np.any(np.abs(z[order[j]] + z) > DEDUP_TOL) or np.unique(j).size < j.size:
+            return False
+        pairs = set(zip(grid.tolist(), grid[order[j]].tolist()))
+    else:
+        pairs = {(i, i) for i in range(len(layers))}
+    return all(_onto(layers[a][0] @ A.T, layers[b][0]) for a, b in pairs)
+
+
+def _onto(images, target):
+    # whether every image lies within DEDUP_TOL (per coordinate) of its own
+    # target point: candidates by a window on the sorted x, then y checked
+    if len(images) != len(target):
+        return False
+    order = np.argsort(target[:, 0])
+    tx, ty = target[order, 0], target[order, 1]
+    lo = np.searchsorted(tx, images[:, 0] - DEDUP_TOL)
+    hi = np.searchsorted(tx, images[:, 0] + DEDUP_TOL, side="right")
+    match = np.full(len(images), -1)
+    for off in range(int((hi - lo).max())):
+        i = lo + off
+        hit = (i < hi) & (match < 0)
+        hit[hit] = np.abs(ty[i[hit]] - images[hit, 1]) <= DEDUP_TOL
+        match[hit] = i[hit]
+    return bool(np.all(match >= 0)) and np.unique(match).size == match.size
 
 
 def wam_ratio_bound(n):

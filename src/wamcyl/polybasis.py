@@ -144,9 +144,8 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     points, rows an index array into the points of `mesh` (a Mesh or an
     (M, 3) array).
 
-    X is (K, N) with N = len(basis), or a list of such matrices: each block
-    then yields the list of their reductions, every (K, m) product formed
-    and reduced before the next.  Only the reductions leave the generator.
+    X is (K, N) with N = len(basis); only the reductions leave the
+    generator.
 
     No Vandermonde is built: per tensor grid xy x z of the points (_grids)
     and z node, X is contracted with the z factors into Y (K, R), so a
@@ -154,28 +153,25 @@ def scan(basis, X, mesh, reduce, live_per_row=0):
     (sum factorization).  Blocks come in grid order and cover every point
     exactly once.
 
-    Points per block keep the largest K and the `live_per_row` float64
-    values per point that `reduce` keeps alive within _BLOCK_VALUES.
+    Points per block keep K and the `live_per_row` float64 values per point
+    that `reduce` keeps alive within _BLOCK_VALUES.
     """
-    Xs = X if isinstance(X, list) else [X]
     n = basis.degree
     # columns of z degree m in ridge order (k, j): the ridge factors with
     # k <= n - m, a prefix of all R of them
     cols = [[basis_position((k + m, k, j)) for k in range(n - m + 1) for j in range(k + 1)]
             for m in range(n + 1)]
-    parts = [[np.ascontiguousarray(x[:, c].T) for c in cols] for x in Xs]
-    per_point = max(x.shape[0] for x in Xs) + live_per_row
+    parts = [np.ascontiguousarray(X[:, c].T) for c in cols]
+    per_point = X.shape[0] + live_per_row
     step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
     for U, z, rows in _grids(n, mesh):
         tz = _t_tilde_all(n, z)
         for q in range(z.size):
-            YTs = [_contract_z(xm, tz[:, q]) for xm in parts]
+            YT = _contract_z(parts, tz[:, q])
             for lo in range(0, U.shape[1], step):
                 # formed as the transpose (m, K): this orientation runs the
                 # product and the reductions over K fastest
-                out = [reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)
-                       for YT in YTs]
-                yield out if isinstance(X, list) else out[0]
+                yield reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)
 
 
 def evaluate(basis, C, mesh):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wamcyl import approx, densela, extract, meshgen, polybasis
 from wamcyl.approx import (
@@ -26,8 +27,7 @@ def _dense_scan(basis, X, mesh, reduce, live_per_row=0):
     V = polybasis.vandermonde(basis, pts)
     for lo in range(0, len(pts), 8192):
         rows = np.arange(lo, min(lo + 8192, len(pts)))
-        out = [reduce(rows, x @ V[rows].T) for x in (X if isinstance(X, list) else [X])]
-        yield out if isinstance(X, list) else out[0]
+        yield reduce(rows, X @ V[rows].T)
 
 
 def test_interpolate_constant():
@@ -149,17 +149,39 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     np.testing.assert_allclose(one[3], np.abs(f).max(axis=0), rtol=1e-12)
 
 
+def _group_order(orbits):
+    return (orbits.rotations * (1 if orbits.axis is None else 2)
+            * (2 if orbits.flip_z else 1))
+
+
+def _column_sum_max(_, G):
+    return np.abs(G).sum(axis=0).max()
+
+
+# order of the isometry group common to the mesh and its control mesh
+_GROUP_ORDERS = {("wam1", 5): 16, ("wam1", 6): 16, ("wam1", 10): 48, ("wam2", 5): 1,
+                 ("wam2", 6): 4, ("wam2", 7): 1, ("wam2", 10): 4}
+
+
 @pytest.mark.parametrize("family,method,n", [("wam1", "afp", 5), ("wam1", "dlp", 6),
                                              ("wam2", "afp", 6), ("wam2", "dlp", 5),
-                                             ("wam1", "afp", 10), ("wam2", "dlp", 10)])
+                                             ("wam2", "afp", 7), ("wam1", "afp", 10),
+                                             ("wam2", "dlp", 10)])
 def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
     # the control mesh is scanned tensor grid by tensor grid through the z
     # contraction, and by the dense reference through row blocks of its
-    # whole Vandermonde: every sup norm agrees
+    # whole Vandermonde: every sup norm agrees.  The LSQ norm is taken over
+    # one control point per orbit of the isometries common to mesh and
+    # control mesh (none at odd n on wam2); its reference is the dense
+    # maximum over the whole control mesh
     mesh = meshgen.generate_mesh(family, n)
     sel = (extract.select_afp if method == "afp" else extract.select_dlp)(mesh, n)
     proj = build_lsq(mesh, n)
     ctrl = meshgen.control_mesh(family, n)
+    orbits = meshgen.orbit_representatives(mesh, ctrl)
+    order = _GROUP_ORDERS[family, n]
+    assert _group_order(orbits) == order
+    assert (orbits.rows.size < ctrl.cardinality) == (order > 1)
     rng = np.random.default_rng(14)
     C = rng.uniform(-1, 1, (polybasis.basis_size(n), 3))
 
@@ -167,14 +189,86 @@ def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
         return np.cos(pts @ np.arange(1.0, 10.0).reshape(3, 3))
 
     def scans():
-        return (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
-                *sup_errors(n, C, target, ctrl),
+        return (lebesgue_constant(sel, ctrl), *sup_errors(n, C, target, ctrl),
                 meshgen.empirical_wam_ratio(family, n, num_polys=20, control=ctrl))
 
-    tensor = scans()
+    tensor = (lsq_norm(proj, ctrl), *scans())
     monkeypatch.setattr(polybasis, "scan", _dense_scan)
-    for a, b in zip(tensor, scans()):
+    basis = polybasis.enumerate_basis(n)
+    dense = (max(_dense_scan(basis, approx.lsq_matrix(proj), ctrl, _column_sum_max)), *scans())
+    for a, b in zip(tensor, dense):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def _images(orbits):
+    # the group of orbits as 3 x 3 orthogonal matrices
+    planar = []
+    for t in 2 * np.pi * np.arange(orbits.rotations) / orbits.rotations:
+        c, s = np.cos(t), np.sin(t)
+        planar.append(np.array([[c, -s], [s, c]]))
+        if orbits.axis is not None:  # the reflection in the axis at axis + t/2
+            c, s = np.cos(2 * orbits.axis + t), np.sin(2 * orbits.axis + t)
+            planar.append(np.array([[c, s], [s, -c]]))
+    out = []
+    for A in planar:
+        for sz in ((1.0, -1.0) if orbits.flip_z else (1.0,)):
+            M = np.eye(3)
+            M[:2, :2], M[2, 2] = A, sz
+            out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("family,n,jitter", [("wam1", 5, 0.0), ("wam2", 2, 0.0),
+                                              ("wam2", 6, 0.0), ("wam2", 5, 0.0),
+                                              ("wam1", 5, 1e-14), ("wam2", 6, 1e-14)])
+def test_orbit_representatives_meet_every_orbit(family, n, jitter):
+    # every group element maps mesh and control mesh onto themselves, and
+    # every control point has an image among the kept points; control points
+    # moved by far less than DEDUP_TOL still verify, and the widened sector
+    # keeps the ones pushed off its boundary rays
+    mesh, ctrl = meshgen.generate_mesh(family, n), meshgen.control_mesh(family, n)
+    exact = meshgen.orbit_representatives(mesh, ctrl)
+    pts = ctrl.points.copy()  # z stays exact: the z layers are checked one by one
+    pts[:, :2] += jitter * np.random.default_rng(18).uniform(-1, 1, (len(pts), 2))
+    ctrl = meshgen.Mesh(family, n, pts)
+    orbits = meshgen.orbit_representatives(mesh, ctrl)
+    assert orbits[1:] == exact[1:]
+    group = _images(orbits)
+    assert len(group) == _group_order(orbits)
+    kept = cKDTree(ctrl.points[orbits.rows])
+    trees = [(s, cKDTree(s)) for s in (mesh.points, ctrl.points)]
+    hit = np.zeros(ctrl.cardinality, dtype=bool)
+    for M in group:
+        for s, tree in trees:
+            d, i = tree.query(s @ M.T)
+            assert d.max() <= 1e-12 and np.unique(i).size == len(s)
+        hit |= kept.query(ctrl.points @ M.T)[0] <= 1e-12
+    assert hit.all()
+    assert (orbits.rows.size < ctrl.cardinality) == (len(group) > 1)
+
+
+def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
+    # one control point moved by 1e-9 breaks every isometry: the LSQ norm
+    # is then the maximum over the whole (nudged) control mesh
+    n = 5
+    mesh = meshgen.wam1(n)
+    pts = meshgen.control_mesh("wam1", n).points.copy()
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    i = int(np.flatnonzero((r > 0.3) & (r < 0.9) & (pts[:, 1] > 0.1) & (pts[:, 2] > 0.2))[0])
+    pts[i, 0] += 1e-9
+    orbits = meshgen.orbit_representatives(mesh, pts)
+    assert (orbits.rotations, orbits.axis, orbits.flip_z) == (1, None, False)
+    np.testing.assert_array_equal(orbits.rows, np.arange(len(pts)))
+    proj = build_lsq(mesh, n)
+    scanned = []
+    scan = polybasis.scan
+    monkeypatch.setattr(polybasis, "scan",
+                        lambda basis, X, on, *a: scanned.append(len(on)) or scan(basis, X, on, *a))
+    got = lsq_norm(proj, pts)
+    assert scanned == [len(pts)]
+    want = max(_dense_scan(polybasis.enumerate_basis(n), approx.lsq_matrix(proj), pts,
+                           _column_sum_max))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("family,m", [("wam1", 40), ("wam2", 60)])

@@ -146,7 +146,7 @@ def test_metrics_rows(tmp_path, capsys):
     assert 19 / 2 <= by_q["lebesgue"] <= 19 * 2
     assert 19.4 / 2 <= by_q["cond_inf"] <= 19.4 * 2
     assert 7.2 / 2 <= by_q["lsq_norm"] <= 7.2 * 2
-    # the fused control pass reproduces each quantity computed on its own
+    # each row is the library quantity computed on its own
     mesh, control = meshgen.wam2(5), meshgen.control_mesh("wam2", 5)
     sel = extract.select_afp(mesh, 5, ortho_steps=0)
     V = polybasis.vandermonde(polybasis.enumerate_basis(5), sel.nodes)
@@ -166,8 +166,11 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     # preconditioner works from the mesh's tensor grids) and no Vandermonde
     # ever rebuilt, one preconditioning shared by selection and least
     # squares, one LU of the node Vandermonde, one pass over the mesh (for
-    # U) and one pass over the control mesh
-    built, counts = {}, {"ortho": 0, "lu": 0, "mesh_scan": 0, "control_scan": 0}
+    # U) and the control passes: `metrics` scans the control mesh for the
+    # Lebesgue constant and the orbit representatives for the LSQ norm, or
+    # the control mesh again where no isometry verifies (wam2 at odd n = 3);
+    # `errors` makes one control pass
+    built, counts = {}, {}
     vandermonde, precondition = polybasis.vandermonde, extract.precondition
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
 
@@ -184,7 +187,8 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
 
     def counted_scan(basis, X, pts, *args, **kwargs):
         key = _blake(pts)
-        assert key in passes, "scan over a point set that is neither mesh nor control mesh"
+        assert key in passes, ("scan over a point set that is neither mesh, control mesh nor "
+                               "its orbit representatives")
         counts[passes[key]] += 1
         return scan(basis, X, pts, *args, **kwargs)
 
@@ -193,18 +197,26 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
     monkeypatch.setattr(polybasis, "scan", counted_scan)
     degrees = (2, 3)
-    for argv in (["metrics", "--mesh", "wam2", "--method", "afp"],
-                 ["errors", "--mesh", "wam1", "--method", "dlp", "--function", "f3",
-                  "--function", "f6"]):
+    for argv, control_scans, rep_scans in (
+            (["metrics", "--mesh", "wam2", "--method", "afp"], 3, 1),
+            (["errors", "--mesh", "wam1", "--method", "dlp", "--function", "f3",
+              "--function", "f6"], 2, 0)):
         built.clear()
-        counts.update(ortho=0, lu=0, mesh_scan=0, control_scan=0)
+        counts.update(ortho=0, lu=0, mesh_scan=0, control_scan=0, rep_scan=0)
         meshes = [meshgen.generate_mesh(argv[2], n) for n in degrees]
+        controls = [meshgen.control_mesh(argv[2], n) for n in degrees]
         passes = {_blake(m): "mesh_scan" for m in meshes}
-        passes.update({_blake(meshgen.control_mesh(argv[2], n)): "control_scan" for n in degrees})
+        passes.update({_blake(c): "control_scan" for c in controls})
+        reduced = [meshgen.orbit_representatives(m, c).rows for m, c in zip(meshes, controls)]
+        passes.update({_blake(c.points[rows]): "rep_scan"
+                       for c, rows in zip(controls, reduced) if rows.size < c.cardinality})
+        assert [rows.size < c.cardinality for c, rows in zip(controls, reduced)] == (
+            [True, False] if argv[2] == "wam2" else [True, True])
         assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
         assert not any((_blake(m), m.degree) in built for m in meshes)
         assert len(built) == 2 and max(built.values()) == 1  # the nodes of each degree
-        assert counts == {"ortho": 2, "lu": 2, "mesh_scan": 2, "control_scan": 2}
+        assert counts == {"ortho": 2, "lu": 2, "mesh_scan": 2, "control_scan": control_scans,
+                          "rep_scan": rep_scans}
 
 
 def test_control_scans_build_no_control_vandermonde(tmp_path, monkeypatch):

@@ -39,3 +39,23 @@ def test_tracer_runs_cli_commands(tmp_path):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["cli.calls"] > 0 and metrics["approx.lebesgue_constant.self_s"] > 0
     assert spans.cells(tracer.spans)
+
+
+def test_tracer_records_the_metrics_norm_spans(tmp_path):
+    # `metrics` on its own: its Lebesgue constant and LSQ norm come from the
+    # library calls the tracer keys its per-layer metrics on
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["metrics", "--mesh", "wam1", "--method", "afp", "--degree", "3",
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert not [s[2] for s in tracer.spans if s[5]]
+    for name in ("approx.lebesgue_constant", "approx.lsq_norm"):
+        recorded = [s for s in tracer.spans if s[2] == name]
+        assert len(recorded) == 1 and recorded[0][6]
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["approx.lebesgue_constant.self_s"] > 0
+    assert metrics["approx.lsq_norm.self_s"] > 0 and metrics["approx.lsq_norm.gflop_per_s"] > 0
