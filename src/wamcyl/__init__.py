@@ -19,9 +19,8 @@ from .cubature import (
     cubature_weights,
     moments_wade,
     oracle_integral,
-    product_rule,
 )
-from .densela import PivotRecord, cond_2, cond_inf, lu_row_pivot, qr_col_pivot, solve
+from .densela import PivotRecord, cond_2, lu_row_pivot, qr_col_pivot
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -29,7 +28,7 @@ from .errors import (
     SingularMatrixError,
     WamcylError,
 )
-from .extract import ExtractionResult, orthogonalize, select_afp, select_dlp
+from .extract import ExtractionResult, select_afp, select_dlp
 from .meshgen import (
     Mesh,
     cheb_lobatto,
@@ -40,16 +39,8 @@ from .meshgen import (
     wam1,
     wam2,
 )
-from .polybasis import (
-    BasisSet,
-    MultiIndex,
-    cheb_t,
-    cheb_u,
-    enumerate_basis,
-    vandermonde,
-    wade_eval,
-)
+from .polybasis import BasisSet, MultiIndex, enumerate_basis, vandermonde
 from .testfns import REGISTRY as TEST_FUNCTIONS
-from .testfns import eval_test, get_function
+from .testfns import get_function
 
 __version__ = "0.1.0"

@@ -34,14 +34,6 @@ class CubatureRule:
     def sum_weights(self):
         return float(self.weights.sum())
 
-    @property
-    def min_weight(self):
-        return float(self.weights.min())
-
-    @property
-    def stability(self):
-        return float(np.abs(self.weights).sum() / abs(self.weights.sum()))
-
 
 @lru_cache(maxsize=32)
 def _leggauss(q):
@@ -57,20 +49,6 @@ def _rules_1d(level):
     r = (xr + 1.0) / 2.0
     xz, wz = _leggauss(level + 1)
     return ang, 2.0 * np.pi / m, r, wr / 2.0 * r, xz, wz
-
-
-def product_rule(level):
-    """Nodes (M, 3) and weights (M,) of the level-L cylinder product rule."""
-    ang, wa, r, wr, xz, wz = _rules_1d(level)
-    R, A, Z = np.meshgrid(r, ang, xz, indexing="ij")
-    W = np.einsum("i,k->ik", wr, wz)[:, None, :] * wa
-    pts = np.column_stack([(R * np.cos(A)).ravel(), (R * np.sin(A)).ravel(), Z.ravel()])
-    return pts, np.broadcast_to(W, R.shape).ravel().copy()
-
-
-def rule_level_for_degree(d):
-    """Smallest level whose product rule is exact for total degree d."""
-    return max(0, (d + 1) // 2)
 
 
 def moments_wade(n):

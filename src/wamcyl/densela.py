@@ -36,23 +36,19 @@ class PivotRecord:
             raise ValueError("pivot order is not a permutation")
 
 
-def qr_col_pivot(A, steps=None):
+def qr_col_pivot(A):
     """Greedy column selection by QR with column pivoting.
 
     At each step the residual column of largest Euclidean norm is chosen.
-    Returns the full column permutation; the first `steps` entries are the
-    greedy pivots (steps defaults to the row count).
+    Returns the full column permutation, whose first (row count) entries
+    are the greedy pivots; every one of them is checked against RANK_TOL.
     """
     A = np.asarray(A, dtype=float)
     n_rows, n_cols = A.shape
     if n_rows > n_cols:
         raise ValueError("need at least as many columns as rows")
-    if steps is None:
-        steps = n_rows
-    if not 1 <= steps <= n_rows:
-        raise ValueError("steps must be in 1..rows")
     R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-    mags = np.abs(np.diag(R))[:steps]
+    mags = np.abs(np.diag(R))
     if mags[0] == 0.0 or np.min(mags) < RANK_TOL * mags[0]:
         raise RankDeficiencyError(
             f"pivot column norm below {RANK_TOL:g} of the largest column"
@@ -126,27 +122,11 @@ def lu_factor_checked(A):
     return lu, piv
 
 
-def solve(A, B):
-    """Solve A X = B by row-pivoted LU."""
-    lu, piv = lu_factor_checked(A)
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(B, dtype=float))
-
-
-def cond_inf(A):
-    """Infinity-norm condition number via the explicit inverse."""
-    A = np.asarray(A, dtype=float)
-    lu_factor_checked(A)
-    inv = np.linalg.inv(A)
-    return float(
-        np.abs(A).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    )
-
-
 def cond_2(A):
     """Spectral condition number (ratio of extremal singular values).
 
     This is the quantity the reference result tables report for node
-    Vandermonde matrices; cond_inf runs one to two orders of magnitude
-    higher on the same matrices.
+    Vandermonde matrices; `metrics` rows and `reproduce` tables still
+    label it `cond_inf`.
     """
     return float(np.linalg.cond(np.asarray(A, dtype=float)))

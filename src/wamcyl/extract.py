@@ -51,11 +51,6 @@ class ExtractionResult:
 GRAM_BOUND = 1e-11
 
 
-def orthogonalize(V, steps):
-    """The P of `_householder`: V @ P has (numerically) orthonormal columns."""
-    return _householder(V, steps)[0]
-
-
 def precondition(mesh, n, steps):
     """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
     of the mesh, U = V P, shared by node selection and least squares.  P
@@ -109,7 +104,7 @@ def select_nodes(mesh, n, method, U, ortho_steps):
     'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'."""
     N = U.shape[1]
     if method == "afp":
-        rec = densela.qr_col_pivot(U.T, steps=N)
+        rec = densela.qr_col_pivot(U.T)
     else:
         rec = densela.lu_row_pivot(U)
     idx = np.array(rec.order[:N])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import polybasis
 
-FAMILIES = ("cheb", "padua", "disk", "wam1", "wam2", "control")
+FAMILIES = ("cheb", "padua", "disk", "wam1", "wam2")
 
 # every two generated points of a mesh lie further apart than this
 DEDUP_TOL = 1e-12
@@ -304,25 +304,3 @@ def _onto(images, target):
         hit[hit] = np.abs(ty[i[hit]] - images[hit, 1]) <= DEDUP_TOL
         match[hit] = i[hit]
     return bool(np.all(match >= 0)) and np.unique(match).size == match.size
-
-
-def wam_ratio_bound(n):
-    """Monitored growth bound for the empirical WAM constant."""
-    return 10.0 * (1.0 + np.log(n + 1.0)) ** 3
-
-
-def empirical_wam_ratio(family, n, num_polys=100, seed=0, control=None):
-    """Sup-norm ratios control mesh / mesh for random degree-n polynomials.
-
-    Coefficients are uniform in [-1, 1] over the graded basis.  Returns the
-    array of ratios; callers compare against wam_ratio_bound(n).
-    """
-    mesh = generate_mesh(family, n)
-    if control is None:
-        control = control_mesh(family, n)
-    basis = polybasis.enumerate_basis(n)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, size=(len(basis), num_polys))
-    sup_mesh = np.abs(polybasis.vandermonde(basis, mesh) @ coeffs).max(axis=0)
-    sups = polybasis.scan(basis, coeffs.T, control, lambda _, R: np.abs(R, out=R).max(axis=1))
-    return np.max(list(sups), axis=0) / sup_mesh

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DomainError
 
 DOMAIN_TOL = 1e-12
-CLAMP_TOL = 1e-14
 
 # control-mesh scans keep each block's live float64 values under about 2 GB,
 # within 1024..65536 points per block
@@ -71,38 +70,6 @@ def enumerate_basis(n):
         for j in range(k + 1)
     )
     return BasisSet(degree=n, indices=indices)
-
-
-def _clamp_unit(t):
-    if abs(t) > 1.0 + CLAMP_TOL:
-        raise DomainError(f"argument {t!r} outside [-1, 1]")
-    return min(1.0, max(-1.0, t))
-
-
-def cheb_t(m, t):
-    """T_m(t) by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    t = _clamp_unit(float(t))
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
-
-
-def cheb_u(m, t):
-    """U_m(t) by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    t = _clamp_unit(float(t))
-    if m == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * t
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
 
 
 def _cheb_u_deg(k, t):
@@ -233,24 +200,6 @@ def _contract_z(parts, tz):
     for m in range(1, len(parts)):
         YT[: parts[m].shape[0]] += tz[m] * parts[m]
     return YT
-
-
-def wade_eval(idx, p):
-    """Evaluate the basis element `idx` at a single point of the cylinder."""
-    i, k, j = idx
-    if not 0 <= j <= k <= i:
-        raise ValueError(f"invalid index {idx}: need 0 <= j <= k <= i")
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    if x * x + y * y > 1.0 + DOMAIN_TOL or abs(z) > 1.0 + DOMAIN_TOL:
-        raise DomainError(f"point {(x, y, z)} outside the cylinder")
-    theta = j * np.pi / (k + 1)
-    t = x * np.cos(theta) + y * np.sin(theta)
-    u = float(_cheb_u_deg(k, np.asarray([t]))[0])
-    m = i - k
-    if m == 0:
-        return u
-    tz = np.asarray([z])
-    return u * float(_t_tilde_all(m, tz)[m, 0])
 
 
 def vandermonde(basis, mesh):

@@ -66,9 +66,3 @@ def get_function(fid):
         return REGISTRY[fid]
     except KeyError:
         raise ValueError(f"unknown test function {fid!r}") from None
-
-
-def eval_test(fid, p):
-    """Evaluate a registered function at one point."""
-    p = np.asarray(p, dtype=float)
-    return float(get_function(fid).fn(p[0], p[1], p[2]))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from wamcyl.testfns import REGISTRY, eval_test, get_function
+from wamcyl.testfns import REGISTRY, get_function
+
+
+def eval_test(fid, p):
+    return float(get_function(fid).fn(*np.asarray(p, dtype=float)))
 
 
 def test_point_values():
