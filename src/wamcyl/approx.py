@@ -26,6 +26,9 @@ import scipy.linalg
 
 from . import extract, meshgen, polybasis
 
+# orthogonalization steps of a least-squares projector (see build_lsq)
+LSQ_STEPS = 2
+
 
 @dataclass(frozen=True)
 class Interpolant:
@@ -100,7 +103,7 @@ def lebesgue_constant(nodes, control):
     return _projector_norm(nodes.degree, lagrange_matrix(nodes), control)
 
 
-def build_lsq(mesh, n, steps=2):
+def build_lsq(mesh, n, steps=LSQ_STEPS):
     """Discrete least-squares projector on the mesh for degree n.
 
     Q is the iterate U = V P of `extract.precondition`, formed without

@@ -14,10 +14,7 @@ import numpy as np
 from . import approx, cubature, densela, extract, fileio, meshgen, testfns
 from .errors import WamcylError
 
-MESH_CHOICES = ("wam1", "wam2", "disk", "padua", "cheb")
 METHOD_CHOICES = ("afp", "dlp")
-# least-squares projectors are built with two orthogonalization steps
-LSQ_STEPS = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_degrees(spec):
-    """Accept '7', '5,8,12' or '5..20'."""
+    """Accept '7', '5,8,12' or '5..20'; the distinct degrees, ascending."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
@@ -41,7 +38,7 @@ def _parse_degrees(spec):
         raise argparse.ArgumentTypeError(
             f"invalid degree spec {spec!r}: expected 'n', 'a,b,c' or 'lo..hi' with lo <= hi"
         )
-    return degrees
+    return sorted(set(degrees))
 
 
 def _samples(fns, pts):
@@ -94,49 +91,51 @@ def cmd_extract(args):
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  The preconditioned iterate U = V P of each step count feeds
-    node selection and the least-squares projector (V is built only for
-    0-step selection); the selection holds the one LU of its node Vandermonde."""
+    most once.  Node selection uses the projector's iterate U = V P when
+    both take approx.LSQ_STEPS steps; otherwise it preconditions on its own,
+    and that U is freed once the nodes are chosen.  The selection holds the
+    one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
         self.family, self.degree, self.method = family, degree, method
         self.ortho_steps, self.control_mult = ortho_steps, control_mult
-        self._bases = {}
 
     @cached_property
     def mesh(self):
         # a degree-0 selection still needs a real mesh to select from
         return meshgen.generate_mesh(self.family, max(self.degree, 1))
 
-    def _preconditioned(self, steps):
-        """(P, U) of extract.precondition for `steps` orthogonalization steps."""
-        if steps not in self._bases:
-            self._bases[steps] = extract.precondition(self.mesh, self.degree, steps)
-        return self._bases[steps]
+    @cached_property
+    def projector(self):
+        return approx.build_lsq(self.mesh, self.degree)
 
     @cached_property
     def selection(self):
-        _, U = self._preconditioned(self.ortho_steps)
+        if self.ortho_steps == approx.LSQ_STEPS:
+            U = self.projector.q
+        else:
+            U = extract.precondition(self.mesh, self.degree, self.ortho_steps)[1]
         return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)
 
-    def projector(self):
-        P, q = self._preconditioned(LSQ_STEPS)
-        return approx.LsqProjector(mesh=self.mesh, degree=self.degree, transform=P, q=q)
-
+    @cached_property
     def control(self):
-        """The control mesh.  Drops the cached iterates U, which no control
-        pass needs; a projector taken before keeps its own."""
-        self._bases.clear()
         return meshgen.control_mesh(self.family, self.degree, self.control_mult)
+
+    def node_metrics(self):
+        """Lebesgue constant and 2-norm condition number of the selection."""
+        sel = self.selection
+        return approx.lebesgue_constant(sel, self.control), densela.cond_2(sel.vandermonde)
+
+    def lsq_norm(self):
+        return approx.lsq_norm(self.projector, self.control)
 
     def metrics_rows(self):
         n, method, family = self.degree, self.method, self.family
-        sel, proj = self.selection, self.projector()
-        control = self.control()
+        lam, kappa = self.node_metrics()
         return [
-            (n, method, family, "lebesgue", approx.lebesgue_constant(sel, control)),
-            (n, method, family, "cond_inf", densela.cond_2(sel.vandermonde)),
-            (n, "lsq", family, "lsq_norm", approx.lsq_norm(proj, control)),
+            (n, method, family, "lebesgue", lam),
+            (n, method, family, "cond_inf", kappa),
+            (n, "lsq", family, "lsq_norm", self.lsq_norm()),
         ]
 
     def error_rows(self, refs):
@@ -151,9 +150,9 @@ class DegreeRun:
         fns = [testfns.get_function(fid).fn for fid in refs]
         rule = cubature.cubature_weights(sel)
         interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
-        fit = approx.lsq_fit(self.projector(), _samples(fns, self.mesh.points))
+        fit = approx.lsq_fit(self.projector, _samples(fns, self.mesh.points))
         err, sup_f = approx.sup_errors(n, np.hstack([interp, fit]),
-                                       lambda pts: np.tile(_samples(fns, pts), 2), self.control())
+                                       lambda pts: np.tile(_samples(fns, pts), 2), self.control)
         rel = (err / sup_f).reshape(2, len(fns))
         rows = []
         for i, (fid, fn) in enumerate(zip(refs, fns)):
@@ -213,26 +212,24 @@ REPRODUCE_SLOW_EXTRA = [25, 30]
 
 def cmd_reproduce(args):
     degrees = REPRODUCE_DEGREES + (REPRODUCE_SLOW_EXTRA if args.slow else [])
+    if args.table == 5:
+        header, line = ("n", "lsq_norm_wam1", "lsq_norm_wam2"), "n={}: wam1 {:.4g}  wam2 {:.4g}"
+
+        def values(n):  # each family's run lives only while its norm is taken
+            return [DegreeRun(family, n, control_mult=args.control_mult).lsq_norm()
+                    for family in ("wam1", "wam2")]
+    else:
+        header, line = ("n", "lebesgue", "cond_inf"), "n={}: lebesgue {:.4g}  cond {:.4g}"
+        family, method = _TABLE_CONFIG[args.table]
+
+        def values(n):
+            return DegreeRun(family, n, method, args.ortho_steps, args.control_mult).node_metrics()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    if args.table == 5:
-        for n in degrees:
-            runs = [DegreeRun(family, n, control_mult=args.control_mult)
-                    for family in ("wam1", "wam2")]
-            vals = [n] + [approx.lsq_norm(run.projector(), run.control()) for run in runs]
-            rows.append(vals)
-            print(f"n={n}: wam1 {vals[1]:.4g}  wam2 {vals[2]:.4g}")
-        header = ("n", "lsq_norm_wam1", "lsq_norm_wam2")
-    else:
-        family, method = _TABLE_CONFIG[args.table]
-        for n in degrees:
-            run = DegreeRun(family, n, method, args.ortho_steps, args.control_mult)
-            lam = approx.lebesgue_constant(run.selection, run.control())
-            kappa = densela.cond_2(run.selection.vandermonde)
-            rows.append((n, lam, kappa))
-            print(f"n={n}: lebesgue {lam:.4g}  cond {kappa:.4g}")
-        header = ("n", "lebesgue", "cond_inf")
+    for n in degrees:
+        rows.append((n, *values(n)))
+        print(line.format(*rows[-1]))
     path = fileio.write_table_csv(out / f"table{args.table}.csv", header, rows)
     print(f"table {args.table} -> {path}")
     return 0
@@ -243,7 +240,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, method=False, scans=False, degrees="5"):
-        p.add_argument("--mesh", choices=MESH_CHOICES, required=True)
+        p.add_argument("--mesh", choices=meshgen.FAMILIES, required=True)
         p.add_argument("--degree", type=_parse_degrees, default=_parse_degrees(degrees),
                        help="degree, list '5,10' or range '5..20'")
         if method:

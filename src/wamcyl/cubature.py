@@ -101,7 +101,7 @@ def _integrate_level(f, level):
     return wa * total
 
 
-def oracle_integral(f, tol, max_points=ORACLE_POINT_BUDGET):
+def oracle_integral(f, tol):
     """Reference integral of f over the cylinder by level doubling.
 
     Returns the last level once two successive levels agree within tol;
@@ -112,7 +112,7 @@ def oracle_integral(f, tol, max_points=ORACLE_POINT_BUDGET):
     prev = _integrate_level(f, level)
     for _ in range(ORACLE_MAX_DOUBLINGS):
         level *= 2
-        if (2 * level + 2) * (level + 2) * (level + 1) > max_points:
+        if (2 * level + 2) * (level + 2) * (level + 1) > ORACLE_POINT_BUDGET:
             raise ConvergenceError(
                 f"oracle not converged to {tol:g} within the point budget"
             )

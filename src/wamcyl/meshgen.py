@@ -24,7 +24,7 @@ import numpy as np
 
 from . import polybasis
 
-FAMILIES = ("cheb", "padua", "disk", "wam1", "wam2")
+FAMILIES = ("wam1", "wam2", "disk", "padua", "cheb")
 
 # every two generated points of a mesh lie further apart than this
 DEDUP_TOL = 1e-12

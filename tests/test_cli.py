@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import wamcyl
 from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
-from wamcyl.cli import main
+from wamcyl.cli import _parse_degrees, main
 
 
 def _csv_rows(path):
@@ -263,6 +264,55 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
         m.setattr(densela, "qr_col_pivot", forbidden)
         m.setattr(densela, "lu_row_pivot", forbidden)
         assert main(["reproduce", "--table", "5", "--out", str(tmp_path)]) == 0
+
+
+def test_reproduce_tables_format_the_metrics_numbers(tmp_path, monkeypatch):
+    # one pipeline: the table cells are the metrics rows of the same runs
+    import wamcyl.cli as cli
+
+    monkeypatch.setattr(cli, "REPRODUCE_DEGREES", [3, 5])
+    for table in ("2", "5"):
+        assert main(["reproduce", "--table", table, "--out", str(tmp_path)]) == 0
+    for mesh in ("wam1", "wam2"):
+        assert main(["metrics", "--mesh", mesh, "--method", "afp", "--ortho-steps", "0",
+                     "--degree", "3,5", "--out", str(tmp_path / mesh)]) == 0
+    value = {(mesh, r[0], r[3]): r[4] for mesh in ("wam1", "wam2")
+             for r in _csv_rows(tmp_path / mesh / "results.csv")[1:]}
+    degrees = ["3", "5"]
+    assert _csv_rows(tmp_path / "table2.csv")[1:] == [
+        [n, value["wam2", n, "lebesgue"], value["wam2", n, "cond_inf"]] for n in degrees]
+    assert _csv_rows(tmp_path / "table5.csv")[1:] == [
+        [n, value["wam1", n, "lsq_norm"], value["wam2", n, "lsq_norm"]] for n in degrees]
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["errors", "--function", "f3"]])
+def test_zero_step_vandermonde_freed_before_lsq_preconditioning(tmp_path, monkeypatch, command):
+    # a 0-step selection preconditions on its own, so its U (the mesh
+    # Vandermonde) is freed once the nodes are chosen, before the
+    # least-squares projector preconditions the mesh again
+    precondition, zero_step = extract.precondition, []
+
+    def watched(mesh, n, steps):
+        if steps >= 1:
+            assert all(ref() is None for ref in zero_step), "a 0-step U is still alive"
+        P, U = precondition(mesh, n, steps)
+        if steps == 0:
+            zero_step.append(weakref.ref(U))
+        return P, U
+
+    monkeypatch.setattr(extract, "precondition", watched)
+    assert main(command + ["--mesh", "wam2", "--method", "afp", "--ortho-steps", "0",
+                           "--degree", "3,4", "--out", str(tmp_path)]) == 0
+    assert len(zero_step) == 2
+
+
+def test_repeated_degrees_run_once(tmp_path):
+    assert _parse_degrees("5,3,5") == [3, 5]
+    assert _parse_degrees("4..6") == [4, 5, 6]
+    assert main(["metrics", "--mesh", "wam2", "--method", "afp", "--ortho-steps", "0",
+                 "--degree", "3,3", "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "results.csv")[1:]
+    assert sorted(r[3] for r in rows) == ["cond_inf", "lebesgue", "lsq_norm"]
 
 
 def test_errors_const1(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _reference import product_rule, rule_level_for_degree
 
-from wamcyl import extract, meshgen, polybasis
+from wamcyl import cubature, extract, meshgen, polybasis
 from wamcyl.cubature import apply_rule, cubature_weights, moments_wade, oracle_integral
 from wamcyl.errors import ConvergenceError
 
@@ -111,11 +111,12 @@ def _cos_r2_reference():
     return np.pi * val
 
 
-def test_oracle_budget_exhaustion():
+def test_oracle_budget_exhaustion(monkeypatch):
     # exact-polynomial integrand never meets a zero tolerance; the point
-    # budget guard must trip
+    # budget guard, read at call time, must trip
+    monkeypatch.setattr(cubature, "ORACLE_POINT_BUDGET", 100_000)
     with pytest.raises(ConvergenceError):
-        oracle_integral(lambda x, y, z: x * x, 0.0, max_points=100_000)
+        oracle_integral(lambda x, y, z: x * x, 0.0)
 
 
 def test_oracle_converges_on_point_singularity():
