@@ -195,7 +195,8 @@ def cmd_errors(args):
     runs = _runs(args)  # checks the degrees before any oracle runs
     # oracle references do not depend on the degree: computed once, here
     tfs = {fid: testfns.get_function(fid) for fid in args.function or ["f3"]}
-    refs = {fid: cubature.oracle_integral(tf.fn, tf.oracle_tol) for fid, tf in tfs.items()}
+    refs = {fid: cubature.oracle_integral(tf.fn, tf.oracle_tol, at=tf.singular_point)
+            for fid, tf in tfs.items()}
     return _write_rows(args, lambda run: run.error_rows(refs), runs)
 
 

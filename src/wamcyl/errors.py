@@ -18,4 +18,4 @@ class SingularMatrixError(WamcylError):
 
 
 class ConvergenceError(WamcylError):
-    """The quadrature oracle did not converge within its doubling budget."""
+    """The quadrature oracle did not converge within its refinement or point budget."""

@@ -1,4 +1,5 @@
-"""Benchmark functions on the cylinder, with oracle tolerances.
+"""Benchmark functions on the cylinder, with oracle tolerances and, where
+a function has one, the point singularity the oracle grades toward.
 
 All evaluators accept coordinate arrays.  Note the second exponential of
 f1 is linear (not squared) in its y and z terms.
@@ -15,6 +16,7 @@ class TestFunction:
     fn: object
     oracle_tol: float
     smoothness: str
+    singular_point: tuple | None = None
 
 
 def _f1(x, y, z):
@@ -52,10 +54,12 @@ def _const1(x, y, z):
 
 REGISTRY = {
     "f1": TestFunction("f1", _f1, 1e-10, "analytic"),
-    "f2": TestFunction("f2", _f2, 1e-10, "point singularity at (0.4, 0.4, 0.4)"),
+    "f2": TestFunction("f2", _f2, 1e-10, "point singularity at (0.4, 0.4, 0.4)",
+                       (0.4, 0.4, 0.4)),
     "f3": TestFunction("f3", _f3, 1e-12, "entire"),
     "f4": TestFunction("f4", _f4, 1e-10, "analytic, Runge-type"),
-    "f5": TestFunction("f5", _f5, 1e-10, "C2, singular third derivatives at 0"),
+    "f5": TestFunction("f5", _f5, 1e-10, "C2, singular third derivatives at 0",
+                       (0.0, 0.0, 0.0)),
     "f6": TestFunction("f6", _f6, 1e-12, "entire"),
     "const1": TestFunction("const1", _const1, 1e-12, "constant"),
 }

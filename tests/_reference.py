@@ -90,9 +90,9 @@ def empirical_wam_ratio(family, n, num_polys=100, seed=0, control=None):
 def product_rule(level):
     """Nodes (M, 3) and weights (M,) of the level-L cylinder product rule,
     the rule `cubature.oracle_integral` applies plane by plane."""
-    ang, wa, r, wr, xz, wz = _rules_1d(level)
+    ang, wa, wang, r, wr, xz, wz = _rules_1d(level)
     R, A, Z = np.meshgrid(r, ang, xz, indexing="ij")
-    W = np.einsum("i,k->ik", wr, wz)[:, None, :] * wa
+    W = np.einsum("i,k->ik", wr, wz)[:, None, :] * (wa * wang)[None, :, None]
     pts = np.column_stack([(R * np.cos(A)).ravel(), (R * np.sin(A)).ravel(), Z.ravel()])
     return pts, np.broadcast_to(W, R.shape).ravel().copy()
 

@@ -116,6 +116,21 @@ def test_errors_checks_degrees_before_any_oracle(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_errors_hands_each_declared_point_to_the_oracle(tmp_path, monkeypatch):
+    real, seen = cubature.oracle_integral, {}
+
+    def oracle(f, tol, at=None):
+        seen[f] = at
+        return real(f, tol, at=at)
+
+    monkeypatch.setattr(cubature, "oracle_integral", oracle)
+    code = main(["errors", "--mesh", "wam2", "--degree", "2", "--method", "afp",
+                 "--function", "f5", "--function", "f3", "--out", str(tmp_path)])
+    assert code == 0
+    assert seen == {testfns.get_function("f5").fn: (0.0, 0.0, 0.0),
+                    testfns.get_function("f3").fn: None}
+
+
 def test_degree_list_rejected_by_single_degree_commands(tmp_path):
     for cmd in (["gen"], ["extract", "--method", "afp"]):
         for spec in ("5,6", "5..6"):

@@ -120,14 +120,70 @@ def test_oracle_budget_exhaustion(monkeypatch):
 
 
 def test_oracle_converges_on_point_singularity():
-    # distance function with an interior kink: slowest of the benchmark
-    # integrands, reaches 1e-10 by level doubling (about 45 s of the
-    # suite); two further digits are checked against the converged value
+    # distance function with an interior kink: the rule graded toward its
+    # declared point reaches 1e-10 at L = 12 (0.5 s on 2 vCPUs, against 42 s
+    # by level doubling); two further digits are checked against the
+    # converged value
     from wamcyl import testfns
 
     tf = testfns.get_function("f2")
-    got = oracle_integral(tf.fn, tf.oracle_tol)
+    got = oracle_integral(tf.fn, tf.oracle_tol, at=tf.singular_point)
     assert got == pytest.approx(6.771336416342, abs=1e-11)
+
+
+@pytest.mark.parametrize("at", [(0.0, 0.0, 0.0), (0.4, 0.4, 0.4)])
+def test_graded_oracle_exact_for_low_degree(at):
+    one = oracle_integral(lambda x, y, z: np.ones_like(x), 1e-12, at=at)
+    assert abs(one - 2 * np.pi) <= 1e-13
+    r2 = oracle_integral(lambda x, y, z: x * x + y * y, 1e-12, at=at)
+    assert r2 == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_graded_oracle_meets_closed_form_at_origin():
+    # int_K |p|^3 = 2 pi int_-1^1 int_0^1 (rho^2 + z^2)^(3/2) rho drho dz
+    #             = (4 pi / 5) int_0^1 [(1 + z^2)^(5/2) - z^5] dz
+    from scipy.integrate import quad
+
+    from wamcyl import testfns
+
+    val, err = quad(lambda z: (1 + z * z) ** 2.5 - z**5, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-12
+    ref = 4 * np.pi / 5 * val
+    assert ref == pytest.approx(5.23456945697704, abs=1e-13)
+    tf = testfns.get_function("f5")
+    got = oracle_integral(tf.fn, tf.oracle_tol, at=tf.singular_point)
+    assert abs(got - ref) <= 1e-12
+
+
+def test_graded_oracle_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(cubature, "ORACLE_POINT_BUDGET", 100_000)
+    with pytest.raises(ConvergenceError):
+        oracle_integral(lambda x, y, z: x * x, 0.0, at=(0.4, 0.4, 0.4))
+
+
+@pytest.mark.parametrize("at", [(np.nan, 0.0, 0.0), (0.0, 0.0, np.inf), (0.8, 0.8, 0.0),
+                                (0.0, 0.0, 1.0 + 1e-9), (0.0, 0.0)])
+def test_oracle_rejects_singular_point_outside_cylinder(at):
+    def never(x, y, z):
+        raise AssertionError("integrand evaluated for an invalid point")
+
+    with pytest.raises(ValueError):
+        oracle_integral(never, 1e-10, at=at)
+
+
+def test_oracle_accepts_point_on_the_boundary_within_tolerance():
+    at = (1.0 + 0.5 * polybasis.DOMAIN_TOL, 0.0, -1.0 - 0.5 * polybasis.DOMAIN_TOL)
+    got = oracle_integral(lambda x, y, z: np.ones_like(x), 1e-12, at=at)
+    assert abs(got - 2 * np.pi) <= 1e-13
+
+
+def test_gauss_legendre_cache_is_read_only():
+    x, w = cubature._leggauss(7)
+    assert not x.flags.writeable and not w.flags.writeable
+    *_, xz, wz = cubature._rules_1d(6)
+    assert not xz.flags.writeable and not wz.flags.writeable
+    with pytest.raises(ValueError):
+        xz[0] = 0.0
 
 
 def test_rule_level_exactness_bound():

@@ -58,6 +58,10 @@ def test_registry_metadata():
     assert get_function("f3").oracle_tol == 1e-12
     assert get_function("f6").oracle_tol == 1e-12
     assert get_function("f2").oracle_tol == 1e-10
+    assert {fid: tf.singular_point for fid, tf in REGISTRY.items()} == {
+        "f1": None, "f2": (0.4, 0.4, 0.4), "f3": None, "f4": None,
+        "f5": (0.0, 0.0, 0.0), "f6": None, "const1": None,
+    }
     with pytest.raises(ValueError):
         get_function("f7")
 
