@@ -29,16 +29,7 @@ from .errors import (
     WamcylError,
 )
 from .extract import ExtractionResult, select_afp, select_dlp
-from .meshgen import (
-    Mesh,
-    cheb_lobatto,
-    control_mesh,
-    disk_wam,
-    generate_mesh,
-    padua,
-    wam1,
-    wam2,
-)
+from .meshgen import Mesh, control_mesh, generate_mesh, wam1, wam2
 from .polybasis import BasisSet, MultiIndex, enumerate_basis, vandermonde
 from .testfns import REGISTRY as TEST_FUNCTIONS
 from .testfns import get_function

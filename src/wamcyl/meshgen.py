@@ -1,12 +1,8 @@
-"""Mesh generators for the cylinder and its 1D/2D building blocks.
+"""Mesh generators: the two weakly admissible meshes of the cylinder.
 
 Families and closed-form cardinalities:
 
-    cheb    Chebyshev-Lobatto points on [-1, 1], n+1 points
-    padua   first-family Padua points of the square, (n+1)(n+2)/2 points,
-            embedded in the (x, z) plane
-    disk    rotation-invariant polar grid of the unit disk, (n+1)^2 points
-    wam1    disk grid x Chebyshev-Lobatto in z, (n+1)^3 points
+    wam1    polar grid of the unit disk x Chebyshev-Lobatto in z, (n+1)^3 points
     wam2    Padua points in the (r, z) plane rotated about the z-axis,
             (n^2+n+1)(n+2)/2 points for even n, (n+1)^2(n+2)/2 for odd n
 
@@ -24,7 +20,7 @@ import numpy as np
 
 from . import polybasis
 
-FAMILIES = ("wam1", "wam2", "disk", "padua", "cheb")
+FAMILIES = ("wam1", "wam2")
 
 # every two generated points of a mesh lie further apart than this
 DEDUP_TOL = 1e-12
@@ -48,12 +44,6 @@ class Mesh:
 
 def expected_cardinality(family, n):
     """Closed-form point count for a generated family."""
-    if family == "cheb":
-        return n + 1
-    if family == "padua":
-        return (n + 1) * (n + 2) // 2
-    if family == "disk":
-        return (n + 1) ** 2
     if family == "wam1":
         return (n + 1) ** 3
     if family == "wam2":
@@ -76,59 +66,33 @@ def _cheb_lobatto_grid(n):
     return g
 
 
-def cheb_lobatto(n):
-    """Chebyshev-Lobatto points cos(k*pi/n), embedded on the x-axis."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    g = _cheb_lobatto_grid(n)
-    pts = np.zeros((n + 1, 3))
-    pts[:, 0] = g
-    return Mesh("cheb", n, pts)
-
-
-def padua(n):
-    """First-family Padua points of degree n in the (x, z) plane.
-
-    With the Chebyshev-Lobatto grids xg (n+1 points) and zg (n+2 points),
-    the set keeps exactly the pairs with odd index-parity sum, which is the
-    interlacing of the even/odd subgrids.
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+def _padua(n):
+    # first-family Padua points of degree n, (n+1)(n+2)/2 rows (r, z): of the
+    # Lobatto grids rg (n+1 points) and zg (n+2 points), exactly the pairs
+    # with odd index-parity sum, the interlacing of the even/odd subgrids
     r, s = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
-    pts = np.zeros((r.size, 3))
-    pts[:, 0] = _cheb_lobatto_grid(n)[r]
-    pts[:, 2] = _cheb_lobatto_grid(n + 1)[s]
-    assert pts.shape[0] == expected_cardinality("padua", n)
-    return Mesh("padua", n, pts)
+    return np.column_stack([_cheb_lobatto_grid(n)[r], _cheb_lobatto_grid(n + 1)[s]])
 
 
-def disk_wam(n):
-    """Rotation-invariant polar grid of the unit disk.
-
-    Radii cos(i*pi/n) for i = 0..n; angles j*pi/m for j = 0..m-1 with
-    m = n+1 for odd n and m = n+2 for even n, radius-major.  For even n the
-    center (radius i = n/2) is kept at the first angle only.
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+def _disk(n):
+    # rotation-invariant polar grid of the unit disk, (n+1)^2 rows (x, y):
+    # radii cos(i*pi/n), i = 0..n, times the angles j*pi/m, j = 0..m-1, with
+    # m = n+1 for odd n and m = n+2 for even n, radius-major; for even n the
+    # center (radius i = n/2) is kept at the first angle only
     radii = _cheb_lobatto_grid(n)
     m = n + 1 if n % 2 == 1 else n + 2
     ang = np.arange(m) * np.pi / m
     keep = np.ones((radii.size, m), dtype=bool)
     keep[radii == 0.0, 1:] = False
-    pts = np.zeros((keep.sum(), 3))
-    pts[:, 0] = np.outer(radii, np.cos(ang))[keep]
-    pts[:, 1] = np.outer(radii, np.sin(ang))[keep]
-    assert pts.shape[0] == expected_cardinality("disk", n)
-    return Mesh("disk", n, pts)
+    return np.column_stack([np.outer(radii, np.cos(ang))[keep],
+                            np.outer(radii, np.sin(ang))[keep]])
 
 
 def wam1(n):
     """First cylinder WAM: disk polar grid times Chebyshev-Lobatto in z."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    disk = disk_wam(n).points
+    disk = _disk(n)
     zg = _cheb_lobatto_grid(n)
     md, mz = disk.shape[0], zg.size
     pts = np.empty((md * mz, 3))
@@ -149,8 +113,7 @@ def wam2(n):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    pad = padua(n).points
-    r, z = pad[:, 0], pad[:, 2]
+    r, z = _padua(n).T
     ang = np.arange(n + 1) * np.pi / (n + 1)
     keep = np.ones((ang.size, r.size), dtype=bool)
     keep[1:, r == 0.0] = False
@@ -162,13 +125,7 @@ def wam2(n):
     return Mesh("wam2", n, pts)
 
 
-_GENERATORS = {
-    "cheb": cheb_lobatto,
-    "padua": padua,
-    "disk": disk_wam,
-    "wam1": wam1,
-    "wam2": wam2,
-}
+_GENERATORS = {"wam1": wam1, "wam2": wam2}
 
 
 def generate_mesh(family, n):
@@ -183,7 +140,7 @@ def generate_mesh(family, n):
 def control_degree(family, n, mult=None):
     """Degree of the control mesh used to estimate sup norms.
 
-    wam1 (and the 1D/2D families): 4n up to n = 20, then 2n.
+    wam1: 4n up to n = 20, then 2n.
     wam2: 4n up to n = 20, 3n up to n = 25, then 2n.
     `mult` overrides the schedule with m = mult * n.
     """

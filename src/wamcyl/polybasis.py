@@ -100,10 +100,11 @@ def _t_tilde_all(n, z):
 def _validate_points(pts):
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (M, 3) array")
+    # negated <= so that NaN coordinates fail too
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    if np.any(r2 > 1.0 + DOMAIN_TOL) or np.any(np.abs(pts[:, 2]) > 1.0 + DOMAIN_TOL):
-        bad = int(np.argmax(np.maximum(r2 - 1.0, np.abs(pts[:, 2]) - 1.0)))
-        raise DomainError(f"point {pts[bad]} outside the cylinder")
+    bad = np.flatnonzero(~((r2 <= 1.0 + DOMAIN_TOL) & (np.abs(pts[:, 2]) <= 1.0 + DOMAIN_TOL)))
+    if bad.size:
+        raise DomainError(f"point {pts[bad[0]]} (row {bad[0]}) outside the cylinder")
 
 
 def scan(basis, X, mesh, reduce, live_per_row=0):

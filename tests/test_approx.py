@@ -345,6 +345,25 @@ def test_scans_reject_points_outside_the_cylinder():
         lebesgue_constant(sel, pts)
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_non_finite_points_are_outside_the_cylinder(column):
+    # every comparison with NaN is false, so the domain test must be one that
+    # NaN fails; the message names the offending row
+    sel = extract.select_afp(meshgen.wam1(3), 3)
+    q = interpolate(sel, np.ones(sel.count))
+    for value in (np.nan, np.inf):
+        pts = np.array([[0.3, 0.1, -0.7], [0.0, 0.2, 0.5]])
+        pts[1, column] = value
+        with pytest.raises(DomainError, match=r"\(row 1\)"):
+            polybasis.vandermonde(polybasis.enumerate_basis(3), pts)
+        with pytest.raises(DomainError, match=r"\(row 1\)"):
+            meshgen.Mesh("wam1", 3, pts)
+        with pytest.raises(DomainError):
+            eval_interpolant(q, pts)
+        with pytest.raises(DomainError):
+            sup_errors(3, q.coefficients[:, None], lambda p: np.ones((len(p), 1)), pts)
+
+
 def test_lebesgue_scale_invariance():
     # Lagrange values are invariant under rescaling the whole basis
     sel = extract.select_afp(meshgen.wam2(3), 3)

@@ -13,6 +13,7 @@ import pytest
 import wamcyl
 from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
 from wamcyl.cli import _parse_degrees, main
+from wamcyl.errors import SingularMatrixError
 
 
 def _csv_rows(path):
@@ -27,11 +28,9 @@ def test_gen_wam1(tmp_path, capsys):
     assert "216" in capsys.readouterr().out
 
 
-def test_gen_wam2_and_cheb(tmp_path):
+def test_gen_wam2(tmp_path):
     assert main(["gen", "--mesh", "wam2", "--degree", "6", "--out", str(tmp_path)]) == 0
     assert len(_csv_rows(tmp_path / "wam26.csv")) - 1 == 172
-    assert main(["gen", "--mesh", "cheb", "--degree", "2", "--out", str(tmp_path)]) == 0
-    assert len(_csv_rows(tmp_path / "cheb2.csv")) - 1 == 3
 
 
 def test_extract_counts(tmp_path):
@@ -103,8 +102,8 @@ def test_module_entry_point_exit_codes(tmp_path):
 
     assert run("extract", "--mesh", "wam1", "--degree", "2") == 0
     assert (tmp_path / "wam12_afp.csv").exists()
-    assert run("extract", "--mesh", "moebius", "--degree", "2") == 1
-    assert run("extract", "--mesh", "disk", "--degree", "1") == 2
+    assert run("extract", "--mesh", "moebius", "--degree", "2") == 1  # exits in argparse
+    assert run("extract", "--mesh", "wam1", "--degree", "5,6") == 1  # main returns 1
 
 
 def test_errors_checks_degrees_before_any_oracle(tmp_path, monkeypatch):
@@ -139,16 +138,28 @@ def test_degree_list_rejected_by_single_degree_commands(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_degree_too_large_is_usage_error(tmp_path):
-    code = main(["extract", "--mesh", "cheb", "--degree", "5", "--out", str(tmp_path)])
-    assert code == 1
+def test_wam_factors_are_invalid_mesh_choices(tmp_path, capsys):
+    # the disk, Padua and Lobatto sets are factors of the WAMs, not meshes:
+    # every command rejects them as usage errors before running
+    for command in ("gen", "extract", "metrics", "errors"):
+        for family in ("disk", "padua", "cheb"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--mesh", family, "--degree", "3", "--out", str(tmp_path)])
+            assert exc.value.code == 1
+            assert f"argument --mesh: invalid choice: '{family}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def test_numerical_failure_exits_2(tmp_path, capsys):
-    # a flat disk mesh cannot support the z-dependent basis element
-    code = main(["extract", "--mesh", "disk", "--degree", "1", "--out", str(tmp_path)])
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a library stage that raises a WamcylError is a numerical failure
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("zero pivot")
+
+    monkeypatch.setattr(densela, "lu_row_pivot", singular)
+    code = main(["extract", "--mesh", "wam1", "--degree", "3", "--method", "dlp",
+                 "--out", str(tmp_path)])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: zero pivot" in capsys.readouterr().err
 
 
 def test_metrics_rows(tmp_path, capsys):

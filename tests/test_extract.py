@@ -191,5 +191,5 @@ def test_extraction_bit_deterministic():
 
 
 def test_mesh_too_small():
-    with pytest.raises(ValueError):
-        select_afp(meshgen.cheb_lobatto(3), 5)
+    with pytest.raises(ValueError, match="8 points cannot support 56 basis elements"):
+        select_afp(meshgen.wam1(1), 5)

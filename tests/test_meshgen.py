@@ -7,45 +7,68 @@ from scipy.spatial import cKDTree
 
 from wamcyl import meshgen, polybasis
 from wamcyl.meshgen import (
-    cheb_lobatto,
+    _cheb_lobatto_grid,
+    _disk,
+    _padua,
     control_degree,
     control_mesh,
-    disk_wam,
     expected_cardinality,
     generate_mesh,
-    padua,
     wam1,
     wam2,
 )
 
+# the WAMs and their factors: the Lobatto grid, the Padua points and the disk
+# grid, which meshgen keeps as private arrays
+SETS = ["cheb", "padua", "disk", "wam1", "wam2"]
+
+
+def _points(family, n):
+    # the family's degree-n points as an (M, 3) array: the Lobatto grid on
+    # the x-axis, the Padua points in the (x, z) plane, the disk grid at z = 0
+    if family == "cheb":
+        return np.column_stack([_cheb_lobatto_grid(n), np.zeros((n + 1, 2))])
+    if family == "padua":
+        r, z = _padua(n).T
+        return np.column_stack([r, np.zeros_like(r), z])
+    if family == "disk":
+        xy = _disk(n)
+        return np.column_stack([xy, np.zeros(len(xy))])
+    return generate_mesh(family, n).points
+
 
 def test_cheb_lobatto_small():
-    np.testing.assert_allclose(cheb_lobatto(2).points[:, 0], [1.0, 0.0, -1.0], atol=1e-15)
-    np.testing.assert_allclose(cheb_lobatto(1).points[:, 0], [1.0, -1.0], atol=0)
-    assert np.any(np.isclose(cheb_lobatto(4).points[:, 0], np.sqrt(2) / 2, atol=1e-15))
+    np.testing.assert_allclose(_cheb_lobatto_grid(2), [1.0, 0.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(_cheb_lobatto_grid(1), [1.0, -1.0], atol=0)
+    assert np.any(np.isclose(_cheb_lobatto_grid(4), np.sqrt(2) / 2, atol=1e-15))
 
 
 def test_cheb_lobatto_embedding():
-    pts = cheb_lobatto(6).points
-    assert np.all(pts[:, 1] == 0.0) and np.all(pts[:, 2] == 0.0)
+    # the Lobatto grids are the z nodes of both WAMs: degree n for wam1,
+    # degree n+1 for wam2
+    for n in (5, 6):
+        np.testing.assert_array_equal(np.unique(wam1(n).points[:, 2]),
+                                      np.sort(_cheb_lobatto_grid(n)))
+        np.testing.assert_array_equal(np.unique(wam2(n).points[:, 2]),
+                                      np.sort(_cheb_lobatto_grid(n + 1)))
 
 
 def test_padua_degree1_by_hand():
     # enumerating the parity rule: grids {1,-1} and {1,0,-1}, odd index sum
-    got = {tuple(p) for p in padua(1).points}
-    assert got == {(1.0, 0.0, 0.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, -1.0)}
+    got = {tuple(p) for p in _padua(1)}
+    assert got == {(1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)}
 
 
 def test_padua_counts():
-    assert padua(2).cardinality == 6
-    assert padua(5).cardinality == 21
+    assert _padua(2).shape == (6, 2)
+    assert _padua(5).shape == (21, 2)
 
 
 def test_disk_small():
-    got = {tuple(np.round(p, 15)) for p in disk_wam(1).points}
-    assert got == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (-0.0, -1.0, 0.0)}
-    assert disk_wam(4).cardinality == 25
-    assert disk_wam(5).cardinality == 36
+    got = {tuple(np.round(p, 15)) for p in _disk(1)}
+    assert got == {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (-0.0, -1.0)}
+    assert _disk(4).shape == (25, 2)
+    assert _disk(5).shape == (36, 2)
 
 
 def test_wam_cardinalities_from_figures():
@@ -62,16 +85,18 @@ def test_wam_small_counts():
 
 def test_cardinalities_all_degrees():
     for n in range(1, 31):
-        for family in ("cheb", "padua", "disk", "wam1", "wam2"):
+        for family in ("wam1", "wam2"):
             assert generate_mesh(family, n).cardinality == expected_cardinality(family, n)
+        assert len(_cheb_lobatto_grid(n)) == n + 1
+        assert len(_padua(n)) == (n + 1) * (n + 2) // 2
+        assert len(_disk(n)) == (n + 1) ** 2
 
 
 def test_no_near_duplicates():
-    meshes = [generate_mesh(family, n) for family in ("cheb", "padua", "disk", "wam1", "wam2")
-              for n in range(1, 31)]
-    for mesh in meshes + [disk_wam(80), wam2(80)]:
-        tree = cKDTree(mesh.points)
-        assert not tree.query_pairs(meshgen.DEDUP_TOL), (mesh.family, mesh.degree)
+    sets = [(family, n) for family in SETS for n in range(1, 31)] + [("disk", 80), ("wam2", 80)]
+    for family, n in sets:
+        tree = cKDTree(_points(family, n))
+        assert not tree.query_pairs(meshgen.DEDUP_TOL), (family, n)
 
 
 def _first_copies(raw):
@@ -83,7 +108,7 @@ def _first_copies(raw):
     return raw[list(seen.values())]
 
 
-def _reference_mesh(family, n):
+def _reference_points(family, n):
     # the raw products, with every center and axis repeat, reduced by the
     # first-copy rule
     grid = meshgen._cheb_lobatto_grid
@@ -105,19 +130,19 @@ def _reference_mesh(family, n):
         zg = grid(n)
         raw = np.column_stack([np.repeat(raw[:, :2], zg.size, axis=0), np.tile(zg, len(raw))])
         return _first_copies(raw)
-    pad = _reference_mesh("padua", n)
+    pad = _reference_points("padua", n)
     r, z = pad[:, 0], pad[:, 2]
     blocks = [np.column_stack([r * np.cos(t), r * np.sin(t), z])
               for t in np.arange(n + 1) * np.pi / (n + 1)]
     return _first_copies(np.vstack(blocks))
 
 
-@pytest.mark.parametrize("family", ["cheb", "padua", "disk", "wam1", "wam2"])
+@pytest.mark.parametrize("family", SETS)
 def test_meshes_match_the_first_copy_rule(family):
     # bitwise, signed zeros included: node selection breaks ties by mesh index
     for n in range(1, 41):
-        got = generate_mesh(family, n).points
-        want = _reference_mesh(family, n)
+        got = _points(family, n)
+        want = _reference_points(family, n)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
@@ -178,18 +203,18 @@ def _assert_slabs_partition(pts):
     return len(slabs)
 
 
-@pytest.mark.parametrize("family", ["cheb", "padua", "disk", "wam1", "wam2"])
+@pytest.mark.parametrize("family", SETS)
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_slabs_cover_exactly_the_points(family, n):
-    # the mesh and its control mesh (degree 4n): the tensor grids that scans
-    # find partition the points, one grid per family (two for the parity
-    # rule of padua and wam2)
+    # the points of degree n and 4n (the control degree): the tensor grids
+    # that scans find partition the points, one grid per set (two for the
+    # parity rule of padua and wam2)
     grids = {"cheb": 1, "padua": 2, "disk": 1, "wam1": 1, "wam2": 2}[family]
-    for mesh in (generate_mesh(family, n), control_mesh(family, n)):
-        assert _assert_slabs_partition(mesh.points) == grids
+    for pts in (_points(family, n), _points(family, 4 * n)):
+        assert _assert_slabs_partition(pts) == grids
     if family == "wam1":
         # shuffled, the z groups no longer share an xy order
-        pts = mesh.points[np.random.default_rng(n).permutation(mesh.cardinality)]
+        pts = pts[np.random.default_rng(n).permutation(len(pts))]
         _assert_slabs_partition(pts)
 
 
@@ -217,7 +242,11 @@ def test_empirical_wam_ratio_monitored():
 
 
 def test_rejects_unknown_family_and_degree():
-    with pytest.raises(ValueError):
-        generate_mesh("torus", 3)
+    # the WAMs' factors are not mesh families
+    for family in ("torus", "cheb", "padua", "disk"):
+        with pytest.raises(ValueError):
+            generate_mesh(family, 3)
+        with pytest.raises(ValueError):
+            meshgen.Mesh(family, 3, np.zeros((1, 3)))
     with pytest.raises(ValueError):
         wam1(0)

@@ -1,0 +1,16 @@
+"""The README's library example runs as written against the package's
+exports."""
+
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1 and math.isfinite(float(printed[0]))
