@@ -3,10 +3,10 @@
 Coefficients always live in the graded cylinder basis, even when a
 least-squares projector was built through a preconditioning transform, so
 interpolants can be evaluated and compared across modules.  Sup norms over
-large control meshes are reductions of X b(x) over one stream of point
-blocks (polybasis.scan), which runs tensor grid by tensor grid and z node
-by z node; the maximum is order-independent, so neither the blocking nor
-the order of the points changes results.
+large control meshes are reductions of X b(x) over one stream of z layers
+(polybasis.scan), which runs tensor grid by tensor grid and z node by z
+node; the maximum is order-independent, so neither the layering nor the
+order of the points changes results.
 
 The least-squares operator norm is a maximum over orbit representatives of
 the evaluation points.  Its Lebesgue function x -> ||Q P^T b(x)||_1 is
@@ -74,7 +74,7 @@ def sup_errors(degree, coefficients, fn, pts):
         R -= f
         return np.abs(R, out=R).max(axis=1), np.abs(f).max(axis=1)
 
-    err, sup_f = zip(*polybasis.scan(basis, CT, pts, reduce, live_per_row=2 * CT.shape[0]))
+    err, sup_f = zip(*polybasis.scan(basis, CT, pts, reduce))
     return np.max(err, axis=0), np.max(sup_f, axis=0)
 
 

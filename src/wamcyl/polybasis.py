@@ -10,9 +10,12 @@ with indices 0 <= j <= k <= i <= n.  The ordering is graded lexicographic
 in (i, k, j), so the leading (m+1)(m+2)(m+3)/6 elements span exactly the
 polynomials of total degree <= m for every m <= n.
 
-`scan` (and `evaluate` through it) streams X b(x) over any point set
-without building its Vandermonde: it finds the tensor grids xy x z among
-the points and contracts the z factor first; `gram` uses the same grids.
+Every basis value is evaluated on the tensor grids xy x z that `_grids`
+finds among the points, as a ridge factor of xy times a z factor, with
+the column map of `_factor_index`.  `vandermonde` fills V one z layer at
+a time; `scan` (and `evaluate` through it) streams X b(x) one z layer at
+a time without building V, contracting the z factor first; `gram` sums
+small Kronecker products over the grids.
 """
 
 from dataclasses import dataclass
@@ -23,12 +26,6 @@ import numpy as np
 from .errors import DomainError
 
 DOMAIN_TOL = 1e-12
-
-# control-mesh scans keep each block's live float64 values under about 2 GB,
-# within 1024..65536 points per block
-_BLOCK_VALUES = 250_000_000
-_MIN_BLOCK_ROWS = 1024
-_MAX_BLOCK_ROWS = 65536
 
 
 class MultiIndex(NamedTuple):
@@ -51,12 +48,6 @@ class BasisSet:
 def basis_size(n):
     """Dimension of the degree-n polynomial space in three variables."""
     return (n + 1) * (n + 2) * (n + 3) // 6
-
-
-def basis_position(idx):
-    """Column of `idx` in the graded-lexicographic ordering."""
-    i, k, j = idx
-    return i * (i + 1) * (i + 2) // 6 + k * (k + 1) // 2 + j
 
 
 def enumerate_basis(n):
@@ -107,39 +98,28 @@ def _validate_points(pts):
         raise DomainError(f"point {pts[bad[0]]} (row {bad[0]}) outside the cylinder")
 
 
-def scan(basis, X, mesh, reduce, live_per_row=0):
-    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per block of
-    points, rows an index array into the points of `mesh` (a Mesh or an
-    (M, 3) array).
+def scan(basis, X, mesh, reduce):
+    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per z layer
+    of each tensor grid of the points of `mesh` (a Mesh or an (M, 3)
+    array), rows the layer's indices into those points.
 
     X is (K, N) with N = len(basis); only the reductions leave the
-    generator.
+    generator, so one layer's (K, xy) product is alive at a time.  Layers
+    come in grid order and cover every point exactly once.
 
-    No Vandermonde is built: per tensor grid xy x z of the points (_grids)
-    and z node, X is contracted with the z factors into Y (K, R), so a
-    block's product is Y @ ridges, about 2*K*R*M flops in place of 2*K*N*M
-    (sum factorization).  Blocks come in grid order and cover every point
-    exactly once.
-
-    Points per block keep K and the `live_per_row` float64 values per point
-    that `reduce` keeps alive within _BLOCK_VALUES.
+    No Vandermonde is built: per layer, X is contracted with the z factors
+    into Y (K, R) and the product is Y @ ridges, about 2*K*R*M flops in
+    place of 2*K*N*M (sum factorization).
     """
-    n = basis.degree
-    # columns of z degree m in ridge order (k, j): the ridge factors with
-    # k <= n - m, a prefix of all R of them
-    cols = [[basis_position((k + m, k, j)) for k in range(n - m + 1) for j in range(k + 1)]
-            for m in range(n + 1)]
-    parts = [np.ascontiguousarray(X[:, c].T) for c in cols]
-    per_point = X.shape[0] + live_per_row
-    step = min(_MAX_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // per_point))
-    for U, z, rows in _grids(n, mesh):
-        tz = _t_tilde_all(n, z)
-        for q in range(z.size):
-            YT = _contract_z(parts, tz[:, q])
-            for lo in range(0, U.shape[1], step):
-                # formed as the transpose (m, K): this orientation runs the
-                # product and the reductions over K fastest
-                yield reduce(rows[q][lo : lo + step], (U[:, lo : lo + step].T @ YT).T)
+    _, m = _factor_index(basis)
+    # columns of z degree d in graded order are in ridge order (k, j), the
+    # ridge factors with k <= n - d: a prefix of all R of them
+    parts = [np.ascontiguousarray(X[:, m == d].T) for d in range(basis.degree + 1)]
+    for A, tz, rows in _grids(basis.degree, mesh):
+        for q, layer in enumerate(rows):
+            # formed as the transpose (xy, K): this orientation runs the
+            # product and the reductions over K fastest
+            yield reduce(layer, (A.T @ _contract_z(parts, tz[:, q])).T)
 
 
 def evaluate(basis, C, mesh):
@@ -150,32 +130,54 @@ def evaluate(basis, C, mesh):
     return out
 
 
+def vandermonde(basis, mesh):
+    """Dense (M, N) matrix of basis values at the mesh points.
+
+    Row r, column c holds basis.indices[c] evaluated at point r; row order
+    follows the mesh, column order the graded basis.  `mesh` may be a Mesh
+    or a plain (M, 3) array.  Filled one z layer of each tensor grid at a
+    time: the rows of layer q are ridges[r].T * tz[m, q].
+    """
+    r, m = _factor_index(basis)
+    V = np.empty((len(getattr(mesh, "points", mesh)), len(basis)))
+    for A, tz, rows in _grids(basis.degree, mesh):
+        AT = A.T[:, r]  # (xy, N): the ridge factor of each column on the grid
+        for q, layer in enumerate(rows):
+            V[layer] = AT * tz[m, q]
+    return V
+
+
 def gram(basis, mesh):
     """V^T V for V = vandermonde(basis, mesh), without building V: on each
     tensor grid V = (A kron B)[:, S], A the ridge and B the z factors, S the
     basis columns, so V^T V = sum over grids of (A^T A kron B^T B)[S, S]."""
-    r, m = np.array([(k * (k + 1) // 2 + j, i - k) for i, k, j in basis.indices]).T
+    r, m = _factor_index(basis)
     G = np.zeros((len(basis), len(basis)))
-    for A, z, _ in _grids(basis.degree, mesh):
-        tz = _t_tilde_all(basis.degree, z)
+    for A, tz, _ in _grids(basis.degree, mesh):
         G += (A @ A.T)[np.ix_(r, r)] * (tz @ tz.T)[np.ix_(m, m)]
     return G
 
 
+def _factor_index(basis):
+    # (r, m) per column: element (i, k, j) is ridge factor r = k(k+1)/2 + j
+    # (ridge order (k, j)) times the z factor of degree m = i - k
+    return np.array([(k * (k + 1) // 2 + j, i - k) for i, k, j in basis.indices]).T
+
+
 def _grids(n, mesh):
-    # (ridges, z, rows) per tensor grid of _slabs; ridges is the grid's (R, xy)
-    # slice of one evaluation of the R = (n+1)(n+2)/2 ridge factors on all grids
+    # (ridges, tz, rows) per tensor grid of _slabs: ridges is the grid's
+    # (R, xy) slice of one evaluation of the R = (n+1)(n+2)/2 ridge factors
+    # on all grids, tz the (n+1, nz) z factors at its z nodes
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
     _validate_points(pts)
     slabs = _slabs(pts)
     if not slabs:  # no points: nothing to concatenate, no grids
         return []
     xy = np.concatenate([g[0] for g in slabs])
-    ridges = np.empty(((n + 1) * (n + 2) // 2, len(xy)))
-    for r, (_, _, u) in enumerate(_ridge_factors(n, xy[:, 0], xy[:, 1])):
-        ridges[r] = u
+    ridges = _ridge_factors(n, xy[:, 0], xy[:, 1])
     ends = np.cumsum([len(g[0]) for g in slabs])
-    return [(A, z, rows) for (_, z, rows), A in zip(slabs, np.split(ridges, ends[:-1], axis=1))]
+    return [(A, _t_tilde_all(n, z), rows)
+            for (_, z, rows), A in zip(slabs, np.split(ridges, ends[:-1], axis=1))]
 
 
 def _slabs(pts):
@@ -195,36 +197,19 @@ def _slabs(pts):
 
 
 def _contract_z(parts, tz):
-    # Y^T (R, K) = sum over m of tz[m] * X[:, cols_m]^T, each term landing
+    # Y^T (R, K) = sum over d of tz[d] * X[:, m == d]^T, each term landing
     # on a contiguous prefix of rows; tz[0] = 1
     YT = parts[0].copy()
-    for m in range(1, len(parts)):
-        YT[: parts[m].shape[0]] += tz[m] * parts[m]
+    for d in range(1, len(parts)):
+        YT[: parts[d].shape[0]] += tz[d] * parts[d]
     return YT
 
 
-def vandermonde(basis, mesh):
-    """Dense (M, N) matrix of basis values at the mesh points.
-
-    Row r, column c holds basis.indices[c] evaluated at point r; row order
-    follows the mesh, column order the graded basis.  `mesh` may be a Mesh
-    or a plain (M, 3) array.
-    """
-    pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
-    _validate_points(pts)
-    n = basis.degree
-    tz = _t_tilde_all(n, pts[:, 2])
-    V = np.empty((pts.shape[0], len(basis)))
-    for k, j, u in _ridge_factors(n, pts[:, 0], pts[:, 1]):
-        for i in range(k, n + 1):
-            V[:, basis_position((i, k, j))] = u * tz[i - k]
-    return V
-
-
 def _ridge_factors(n, x, y):
-    # (k, j, U_k(x cos t + y sin t)), t = j*pi/(k+1), for 0 <= j <= k <= n in
-    # ridge order; one at a time, so a Vandermonde holds no R x M array
-    for k in range(n + 1):
-        for j in range(k + 1):
-            theta = j * np.pi / (k + 1)
-            yield k, j, _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)
+    # (R, P) array of U_k(x cos t + y sin t), t = j*pi/(k+1), for
+    # 0 <= j <= k <= n in ridge order (k, j)
+    out = np.empty(((n + 1) * (n + 2) // 2, len(x)))
+    for r, (k, j) in enumerate((k, j) for k in range(n + 1) for j in range(k + 1)):
+        theta = j * np.pi / (k + 1)
+        out[r] = _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)
+    return out

@@ -22,7 +22,7 @@ def _values(coeffs, n, pts):
     return polybasis.vandermonde(polybasis.enumerate_basis(n), pts) @ coeffs
 
 
-def _dense_scan(basis, X, mesh, reduce, live_per_row=0):
+def _dense_scan(basis, X, mesh, reduce):
     # reference for polybasis.scan: the whole Vandermonde of the points at
     # once, X @ V.T reduced over row blocks of it in point order
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
@@ -43,7 +43,7 @@ def test_interpolate_basis_element():
     sel = extract.select_afp(meshgen.wam1(3), 3)
     samples = np.sqrt(2.0) * sel.nodes[:, 2]
     q = interpolate(sel, samples)
-    pos = polybasis.basis_position((1, 0, 0))
+    pos = polybasis.enumerate_basis(3).indices.index((1, 0, 0))
     want = np.zeros(sel.count)
     want[pos] = 1.0
     np.testing.assert_allclose(q.coefficients, want, atol=1e-12)
@@ -104,11 +104,13 @@ def test_lebesgue_within_fekete_bound():
 
 
 def test_lebesgue_blocking_invariance(monkeypatch):
+    # the layer-by-layer scans equal the single-shot formulas on the whole
+    # control Vandermonde, and build no Vandermonde themselves
     n = 3
     mesh = meshgen.wam2(n)
     sel = extract.select_afp(mesh, n)
     proj = build_lsq(mesh, n)
-    ctrl = meshgen.wam2(60)  # 1830 or 1831 points per z node: one block each by default
+    ctrl = meshgen.wam2(60)  # 1830 or 1831 points per z layer
     basis = polybasis.enumerate_basis(n)
     rng = np.random.default_rng(13)
     C = rng.uniform(-1, 1, (len(basis), 4))
@@ -116,31 +118,14 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     def target(pts):
         return np.cos(pts @ np.arange(1.0, 13.0).reshape(3, 4))
 
-    def scans():
-        pts = ctrl.points
-        return (lebesgue_constant(sel, pts), lsq_norm(proj, eval_on=pts),
-                *sup_errors(n, C, target, pts))
-
-    one = scans()
-    # an empty value budget drops every scan to the 1024-point floor
-    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
-    blocks, built = [], []
-    build, scan = polybasis.vandermonde, polybasis.scan
-
-    def counted(basis, X, mesh, reduce, live_per_row=0):
-        def sized(rows, R):
-            blocks.append(len(rows))
-            return reduce(rows, R)
-        return scan(basis, X, mesh, sized, live_per_row)
-
-    monkeypatch.setattr(polybasis, "scan", counted)
+    sel.lu  # the node Vandermonde is factored before the scans
+    built = []
+    build = polybasis.vandermonde
     monkeypatch.setattr(polybasis, "vandermonde",
                         lambda b, pts: built.append(pts) or build(b, pts))
-    many = scans()
-    assert blocks.count(1024) == 3 * 62  # per scan: one full block per z node
+    pts = ctrl.points
+    one = (lebesgue_constant(sel, pts), lsq_norm(proj, eval_on=pts), *sup_errors(n, C, target, pts))
     assert built == []  # the scans build no Vandermonde
-    for a, b in zip(one, many):
-        np.testing.assert_allclose(b, a, rtol=1e-12)
     # manual single-shot computation
     A = build(basis, sel.nodes)
     B = build(basis, ctrl)
@@ -273,32 +258,6 @@ def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("family,m", [("wam1", 40), ("wam2", 60)])
-def test_slab_scan_chunking_invariance(monkeypatch, family, m):
-    # 1681 (wam1) and 1830/1891 (wam2) xy points per slab: an empty value
-    # budget splits every z node into chunks at the 1024-point floor
-    n = 4
-    mesh = meshgen.generate_mesh(family, n)
-    ctrl = meshgen.generate_mesh(family, m)
-    sel = extract.select_afp(mesh, n)
-    proj = build_lsq(mesh, n)
-    basis = polybasis.enumerate_basis(n)
-    C = np.random.default_rng(15).uniform(-1, 1, (len(basis), 2))
-
-    def scans():
-        sizes = list(polybasis.scan(basis, C.T, ctrl, lambda pts, _: len(pts)))
-        return sizes, (lebesgue_constant(sel, ctrl), lsq_norm(proj, eval_on=ctrl),
-                       *sup_errors(n, C, lambda pts: np.exp(pts[:, :2]), ctrl))
-
-    whole, one = scans()
-    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
-    chunked, many = scans()
-    assert max(whole) > 1024 and max(chunked) == 1024
-    assert sum(chunked) == sum(whole) == ctrl.cardinality
-    for a, b in zip(one, many):
-        np.testing.assert_array_equal(b, a)
-
-
 def test_eval_interpolant_keeps_mesh_order():
     # values come back in the order of the points, also of a shuffled array
     sel = extract.select_afp(meshgen.wam1(3), 3)
@@ -333,6 +292,9 @@ def test_scan_evaluates_the_ridge_factors_once(monkeypatch):
     got = eval_interpolant(q, pts)
     assert len(calls) == 1
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # and so are the Vandermonde's, though it is filled one z value at a time
+    np.testing.assert_array_equal(_values(q.coefficients, 5, pts), want)
+    assert len(calls) == 2
 
 
 def test_scans_reject_points_outside_the_cylinder():

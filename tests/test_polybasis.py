@@ -117,8 +117,9 @@ def test_vandermonde_shape_wam1_5():
 
 def test_vandermonde_z_column():
     mesh = meshgen.wam1(3)
-    V = vandermonde(enumerate_basis(3), mesh)
-    pos = polybasis.basis_position((1, 0, 0))
+    basis = enumerate_basis(3)
+    V = vandermonde(basis, mesh)
+    pos = basis.indices.index((1, 0, 0))
     np.testing.assert_allclose(V[:, pos], np.sqrt(2.0) * mesh.points[:, 2], atol=1e-15)
 
 
@@ -135,20 +136,37 @@ def test_vandermonde_matches_scalar_eval():
         )
 
 
-def test_vandermonde_block_iteration(monkeypatch):
+def test_vandermonde_block_iteration():
     mesh = meshgen.wam1(32)  # 1089 disk points per z node
     basis = enumerate_basis(4)
     V = vandermonde(basis, mesh)
-    # an empty value budget drops the scan to its 1024-point floor
-    monkeypatch.setattr(polybasis, "_BLOCK_VALUES", 0)
     parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh.points,
                                 lambda rows, R: (rows, R.T)))
-    assert [len(rows) for rows, _ in parts] == [1024, 65] * 33
+    assert [len(rows) for rows, _ in parts] == [1089] * 33  # one block per z layer
     # the identity X gives the Vandermonde rows of each block
     got = np.full_like(V, np.nan)
     for rows, B in parts:
         got[rows] = B
     np.testing.assert_array_equal(got, V)
+
+
+def test_vandermonde_rows_follow_the_points():
+    # V is filled z layer by z layer of each tensor grid, yet row r is always
+    # point r: a shuffled control mesh, and a mixed set of mesh points and
+    # scattered points, give the row-permuted V bitwise
+    basis = enumerate_basis(6)
+    rng = np.random.default_rng(21)
+    ctrl = meshgen.control_mesh("wam2", 6).points
+    perm = rng.permutation(len(ctrl))
+    np.testing.assert_array_equal(vandermonde(basis, ctrl[perm]).tobytes(),
+                                  vandermonde(basis, ctrl)[perm].tobytes())
+    r, t = np.sqrt(rng.uniform(0, 1, 300)), rng.uniform(0, 2 * np.pi, 300)
+    scattered = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(-1, 1, 300)])
+    mixed = np.concatenate([meshgen.wam1(6).points, scattered])
+    perm = rng.permutation(len(mixed))
+    np.testing.assert_array_equal(vandermonde(basis, mixed[perm]).tobytes(),
+                                  vandermonde(basis, mixed)[perm].tobytes())
+    assert vandermonde(basis, np.empty((0, 3))).shape == (0, len(basis))
 
 
 def _gram_reference(n):
