@@ -33,7 +33,6 @@ LSQ_STEPS = 2
 @dataclass(frozen=True)
 class Interpolant:
     degree: int
-    nodes: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
 
 
@@ -48,7 +47,7 @@ class LsqProjector:
 def interpolate(nodes, samples):
     """Interpolant through (nodes, samples); nodes is an ExtractionResult."""
     coeffs = scipy.linalg.lu_solve(nodes.lu, np.asarray(samples, dtype=float))
-    return Interpolant(degree=nodes.degree, nodes=nodes.nodes, coefficients=coeffs)
+    return Interpolant(degree=nodes.degree, coefficients=coeffs)
 
 
 def eval_interpolant(q, pts):
@@ -103,15 +102,14 @@ def lebesgue_constant(nodes, control):
     return _projector_norm(nodes.degree, lagrange_matrix(nodes), control)
 
 
-def build_lsq(mesh, n, steps=LSQ_STEPS):
+def build_lsq(mesh, n):
     """Discrete least-squares projector on the mesh for degree n.
 
-    Q is the iterate U = V P of `extract.precondition`, formed without
-    building V.  The fit formula P (Q^T samples) presumes Q numerically
-    orthonormal, which needs steps >= 1; one step suffices on
-    well-conditioned bases and two make the defect negligible.
+    Q is the iterate U = V P of `extract.precondition` after LSQ_STEPS
+    steps, formed without building V; the fit formula P (Q^T samples)
+    presumes Q numerically orthonormal.
     """
-    P, q = extract.precondition(mesh, n, steps)
+    P, q = extract.precondition(mesh, n, LSQ_STEPS)
     return LsqProjector(mesh=mesh, degree=n, transform=P, q=q)
 
 
@@ -123,14 +121,13 @@ def lsq_fit(proj, samples):
     return proj.transform @ (proj.q.T @ samples)
 
 
-def lsq_norm(proj, eval_on=None):
-    """Operator norm of the projector: max over points of ||Q P^T b(x)||_1.
+def lsq_norm(proj, eval_on):
+    """Operator norm of the projector: max over the points of eval_on (a
+    Mesh or an (M, 3) array) of ||Q P^T b(x)||_1.
 
-    Defaults to evaluating on the projector's own mesh.  The maximum is
-    taken over meshgen.orbit_representatives of the evaluation points (see
-    the module docstring for why that is the maximum over all of them).
+    The maximum is taken over meshgen.orbit_representatives of the points
+    (see the module docstring for why that is the maximum over all of them).
     """
-    on = proj.mesh if eval_on is None else eval_on
-    pts = np.asarray(getattr(on, "points", on), dtype=float)
+    pts = np.asarray(getattr(eval_on, "points", eval_on), dtype=float)
     rows = meshgen.orbit_representatives(proj.mesh, pts).rows
     return _projector_norm(proj.degree, lsq_matrix(proj), pts[rows])

@@ -17,7 +17,6 @@ grows by ORACLE_GRADED_STEP until two successive values agree.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -39,19 +38,10 @@ ORACLE_POINT_BUDGET = 3_000_000_000
 class CubatureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    degree: int = 0
 
     @property
     def sum_weights(self):
         return float(self.weights.sum())
-
-
-@lru_cache(maxsize=32)
-def _leggauss(q):
-    # read-only: the cached arrays are shared by every later rule
-    x, w = np.polynomial.legendre.leggauss(q)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def _polar_split(at):
@@ -71,7 +61,7 @@ def _graded(lo, s, hi, level):
     """Nodes and weights on [lo, hi] split at s: each side of positive
     length is covered by `level` + 1 Gauss-Legendre pieces of `level`
     points, graded geometrically toward s."""
-    x, w = _leggauss(level)
+    x, w = np.polynomial.legendre.leggauss(level)
     edges = np.concatenate([[0.0], ORACLE_GRADING ** np.arange(level, -1, -1)])
     h = np.diff(edges)[:, None]
     t = (edges[:-1, None] + h * (x + 1.0) / 2.0).ravel()
@@ -93,9 +83,9 @@ def _rules_1d(level, split=None):
     m = 2 * level + 2
     ang, wa, wang = 2.0 * np.pi * np.arange(m) / m, 2.0 * np.pi / m, np.ones(m)
     if split is None:
-        xr, wr = _leggauss(level + 2)
+        xr, wr = np.polynomial.legendre.leggauss(level + 2)
         r, wr = (xr + 1.0) / 2.0, wr / 2.0
-        xz, wz = _leggauss(level + 1)
+        xz, wz = np.polynomial.legendre.leggauss(level + 1)
         return ang, wa, wang, r, wr * r, xz, wz
     r0, theta0, z0 = split
     if theta0 is not None:
@@ -109,20 +99,16 @@ def _rules_1d(level, split=None):
 def moments_wade(n):
     """Integrals of the graded basis elements over the cylinder.
 
-    The ridge factor integrates to pi over the disk for k = 0 and vanishes
-    for k >= 1; the z factor integrates to 2 for m = 0, sqrt(2)*2/(1-m^2)
-    for even m >= 2, and 0 for odd m.
+    Per column (r, m) of polybasis._factor_index: the ridge factor r
+    integrates to pi over the disk for r = 0 (k = 0) and vanishes for
+    r >= 1; the z factor of degree m integrates to 2 for m = 0,
+    sqrt(2)*2/(1-m^2) for even m >= 2, and 0 for odd m.
     """
-    basis = polybasis.enumerate_basis(n)
-    b = np.zeros(len(basis))
-    for pos, (i, k, _j) in enumerate(basis.indices):
-        if k != 0:
-            continue
-        m = i - k
-        if m == 0:
-            b[pos] = 2.0 * np.pi
-        elif m % 2 == 0:
-            b[pos] = np.pi * np.sqrt(2.0) * 2.0 / (1.0 - m * m)
+    r, m = polybasis._factor_index(polybasis.enumerate_basis(n))
+    b = np.zeros(r.size)
+    even = (r == 0) & (m > 0) & (m % 2 == 0)
+    b[even] = np.pi * np.sqrt(2.0) * 2.0 / (1.0 - m[even] * m[even])
+    b[(r == 0) & (m == 0)] = 2.0 * np.pi
     return b
 
 
@@ -135,7 +121,7 @@ def cubature_weights(nodes):
     b = moments_wade(nodes.degree)
     w = scipy.linalg.lu_solve(nodes.lu, b, trans=1)
     w = w + scipy.linalg.lu_solve(nodes.lu, b - nodes.vandermonde.T @ w, trans=1)
-    return CubatureRule(nodes=nodes.nodes, weights=w, degree=nodes.degree)
+    return CubatureRule(nodes=nodes.nodes, weights=w)
 
 
 def apply_rule(rule, f):

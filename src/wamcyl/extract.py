@@ -101,12 +101,15 @@ def _householder(V, steps):
 def select_nodes(mesh, n, method, U, ortho_steps):
     """Degree-n nodes from the rows of U, the preconditioned Vandermonde of
     the mesh, in greedy selection order: column-pivoted QR of U^T for
-    'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'."""
+    'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'.
+    Raises ValueError for any other method."""
     N = U.shape[1]
     if method == "afp":
         rec = densela.qr_col_pivot(U.T)
-    else:
+    elif method == "dlp":
         rec = densela.lu_row_pivot(U)
+    else:
+        raise ValueError(f"unknown extraction method {method!r}; expected 'afp' or 'dlp'")
     idx = np.array(rec.order[:N])
     return ExtractionResult(method=method, degree=n, ortho_steps=ortho_steps,
                             mesh_family=mesh.family, indices=idx, nodes=mesh.points[idx])

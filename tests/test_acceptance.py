@@ -62,7 +62,7 @@ def test_criterion_2_polynomial_reproduction():
             basis = polybasis.enumerate_basis(n)
             C = rng.uniform(-1.0, 1.0, (len(basis), 50))
             V_mesh = polybasis.vandermonde(basis, mesh)
-            proj = approx.build_lsq(mesh, n, steps=2)
+            proj = approx.build_lsq(mesh, n)
             C_lsq = proj.transform @ (proj.q.T @ (V_mesh @ C))
             pairs = [(C_lsq, C)]
             for method in ("afp", "dlp"):
@@ -156,7 +156,7 @@ def test_criterion_5_operator_norms():
     ratios = {}
     for (family, n), t in targets.items():
         mesh = meshgen.generate_mesh(family, n)
-        proj = approx.build_lsq(mesh, n, steps=2)
+        proj = approx.build_lsq(mesh, n)
         val = approx.lsq_norm(proj, eval_on=meshgen.control_mesh(family, n))
         ratios[(family, n)] = val / t
     ok = all(0.5 <= r <= 2.0 for r in ratios.values())
@@ -194,11 +194,11 @@ def test_criterion_6_error_curves():
             cub_err[fid].append(abs(cubature.apply_rule(rule, fn) - refs[fid]) / abs(refs[fid]))
         if n == 20:
             f4 = fns["f4"]
-            proj = approx.build_lsq(mesh, n, steps=2)
+            proj = approx.build_lsq(mesh, n)
             coeffs = approx.lsq_fit(
                 proj, f4(mesh.points[:, 0], mesh.points[:, 1], mesh.points[:, 2])
             )
-            fit = approx.Interpolant(degree=n, nodes=sel.nodes, coefficients=coeffs)
+            fit = approx.Interpolant(degree=n, coefficients=coeffs)
             truth = f4(control.points[:, 0], control.points[:, 1], control.points[:, 2])
             f4_lsq_at_20 = np.abs(approx.eval_interpolant(fit, control) - truth).max() / np.abs(truth).max()
 

@@ -342,11 +342,11 @@ def test_build_lsq_degree0():
     mesh = meshgen.wam1(2)
     proj = build_lsq(mesh, 0)
     np.testing.assert_allclose(proj.q, np.full((27, 1), 1 / np.sqrt(27)), atol=1e-14)
-    assert lsq_norm(proj) == pytest.approx(1.0)
+    assert lsq_norm(proj, proj.mesh) == pytest.approx(1.0)
 
 
 def test_lsq_orthonormality_defect():
-    proj = build_lsq(meshgen.wam1(5), 5, steps=2)
+    proj = build_lsq(meshgen.wam1(5), 5)
     G = proj.q.T @ proj.q
     assert np.abs(G - np.eye(56)).max() <= 1e-8
 
@@ -380,18 +380,19 @@ def test_lsq_projector_unique_across_steps():
     rng = np.random.default_rng(11)
     c = rng.uniform(-1, 1, polybasis.basis_size(n))
     samples = _values(c, n, mesh.points)
-    f1 = lsq_fit(build_lsq(mesh, n, steps=1), samples)
-    f2 = lsq_fit(build_lsq(mesh, n, steps=2), samples)
+    P, q = extract.precondition(mesh, n, 1)
+    f1 = lsq_fit(approx.LsqProjector(mesh=mesh, degree=n, transform=P, q=q), samples)
+    f2 = lsq_fit(build_lsq(mesh, n), samples)
     assert np.abs(f1 - f2).max() <= 1e-8
 
 
 def test_lsq_norm_reference_magnitude():
     mesh = meshgen.wam1(5)
-    proj = build_lsq(mesh, 5, steps=2)
+    proj = build_lsq(mesh, 5)
     v = lsq_norm(proj, eval_on=meshgen.control_mesh("wam1", 5))
     assert 4.8 / 2 <= v <= 4.8 * 2
     # on its own mesh the scan is a single block; the magnitude holds there too
-    assert 4.8 / 2 <= lsq_norm(proj) <= 4.8 * 2
+    assert 4.8 / 2 <= lsq_norm(proj, proj.mesh) <= 4.8 * 2
 
 
 def test_polynomial_reproduction_matrix():

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wamcyl import densela, meshgen, polybasis
+from wamcyl import densela, extract, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
-from wamcyl.extract import _householder, precondition, select_afp, select_dlp
+from wamcyl.extract import _householder, precondition, select_afp, select_dlp, select_nodes
 from wamcyl.meshgen import Mesh
+
+
+def _no_householder(V, steps):
+    raise AssertionError("precondition fell back to the Householder path")
 
 
 def orthogonalize(V, steps):
@@ -43,13 +47,23 @@ def _explicit_q_transform(V, steps):
 @pytest.mark.parametrize("steps", [1, 2])
 @pytest.mark.parametrize("n", [5, 10])
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
-def test_precondition_matches_explicit_q_reference(family, n, steps):
+def test_precondition_matches_explicit_q_reference(family, n, steps, monkeypatch):
+    # the WAMs stay on the Gram path: the Householder fallback never runs
+    monkeypatch.setattr(extract, "_householder", _no_householder)
     mesh = meshgen.generate_mesh(family, n)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
     P, U = precondition(mesh, n, steps)
     ref = _explicit_q_transform(V, steps)
     assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(U - V @ P).max() <= 1e-13
+    assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
+
+
+def test_precondition_stays_on_the_gram_path_at_degree_20(monkeypatch):
+    # wam2 has the larger Gram error bound of the two WAMs (1.6e-13 at
+    # n = 20), still far below GRAM_BOUND
+    monkeypatch.setattr(extract, "_householder", _no_householder)
+    _, U = precondition(meshgen.wam2(20), 20, 2)
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
 
 
@@ -112,6 +126,13 @@ def test_degree0_selects_first_point():
     assert list(afp.indices) == [0]
     assert list(dlp.indices) == [0]
     np.testing.assert_array_equal(afp.nodes[0], mesh.points[0])
+
+
+def test_select_nodes_rejects_unknown_method():
+    mesh = meshgen.wam1(2)
+    U = precondition(mesh, 2, 0)[1]
+    with pytest.raises(ValueError, match="unknown extraction method"):
+        select_nodes(mesh, 2, "fekete", U, 0)
 
 
 def test_selected_vandermonde_nonsingular():
