@@ -92,9 +92,10 @@ def cmd_extract(args):
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
     most once.  Node selection uses the projector's iterate U = V P when
-    both take approx.LSQ_STEPS steps; otherwise it preconditions on its own,
-    and that U is freed once the nodes are chosen.  The selection holds the
-    one LU of its node Vandermonde."""
+    both take approx.LSQ_STEPS steps, copied for AFP, which overwrites it;
+    otherwise it preconditions on its own, and that U is freed once the
+    nodes are chosen.  The selection holds the one LU of its node
+    Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
         self.family, self.degree, self.method = family, degree, method
@@ -112,7 +113,7 @@ class DegreeRun:
     @cached_property
     def selection(self):
         if self.ortho_steps == approx.LSQ_STEPS:
-            U = self.projector.q
+            U = self.projector.q.copy() if self.method == "afp" else self.projector.q
         else:
             U = extract.precondition(self.mesh, self.degree, self.ortho_steps)[1]
         return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)

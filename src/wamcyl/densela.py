@@ -3,12 +3,13 @@
 Pivot selection uses strict greater-than comparisons, so the earliest
 index wins among exact ties; re-running on identical input is
 bit-identical.  Column-pivoted QR is delegated to LAPACK (dgeqp3, which
-also breaks norm ties toward the first index).  Row-pivoted LU is
-left-looking over the degree panels of the graded basis: one triangular
-solve and one GEMM per panel, then column-by-column elimination inside
-it.  A panel's operations depend only on the row count and its degree,
-so pivot choices on a leading block of whole degrees are bitwise
-independent of any trailing columns.
+also breaks norm ties toward the first index) and runs in the memory of a
+Fortran-ordered input.  Row-pivoted LU is left-looking over the degree
+panels of the graded basis: one triangular solve and one GEMM per panel,
+then column-by-column elimination inside it.  A panel's operations
+depend only on the row count and its degree, so pivot choices on a
+leading block of whole degrees are bitwise independent of any trailing
+columns.
 """
 
 import warnings
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqp3
 
 from . import polybasis
 from .errors import RankDeficiencyError, SingularMatrixError
@@ -42,18 +44,34 @@ def qr_col_pivot(A):
     At each step the residual column of largest Euclidean norm is chosen.
     Returns the full column permutation, whose first (row count) entries
     are the greedy pivots; every one of them is checked against RANK_TOL.
+    A writeable Fortran-contiguous float64 A (such as U.T of a C-ordered U)
+    is factored in place and overwritten; any other A is copied once and
+    left untouched.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.require(A, dtype=float, requirements=["F", "W"])
     n_rows, n_cols = A.shape
     if n_rows > n_cols:
         raise ValueError("need at least as many columns as rows")
-    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-    mags = np.abs(np.diag(R))
+    _scale(A)
+    # the queried lwork, as scipy.linalg.qr takes it: dgeqp3 pivots
+    # differently with the default one; overwrite_a keeps f2py from copying A
+    lwork = int(dgeqp3(A, lwork=-1, overwrite_a=1)[3][0])
+    qr, jpvt = dgeqp3(A, lwork=lwork, overwrite_a=1)[:2]
+    mags = np.abs(np.diag(qr))
     if mags[0] == 0.0 or np.min(mags) < RANK_TOL * mags[0]:
         raise RankDeficiencyError(
             f"pivot column norm below {RANK_TOL:g} of the largest column"
         )
-    return PivotRecord(order=piv, magnitudes=mags)
+    return PivotRecord(order=jpvt - 1, magnitudes=mags)
+
+
+def _scale(A):
+    """max |A_ij| from the extremes of A, without an |A| temporary; raises
+    ValueError if A holds an inf or a NaN."""
+    scale = max(A.max(initial=0.0), -A.min(initial=0.0))
+    if not np.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
+    return scale
 
 
 def lu_row_pivot(A):
@@ -70,12 +88,13 @@ def lu_row_pivot(A):
     panel bounds do not depend on the column count, so the pivots of a
     leading block of whole degrees are the leading pivots of the full
     matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.
+    The factorization runs on one Fortran-ordered copy; A is not modified.
     """
     LU = np.array(A, dtype=float, order="F")
     n_rows, n_cols = LU.shape
     if n_rows < n_cols:
         raise ValueError("need at least as many rows as columns")
-    scale = np.abs(LU).max(initial=0.0)
+    scale = _scale(LU)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     tol_abs = RANK_TOL * scale
@@ -111,11 +130,11 @@ def lu_factor_checked(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    scale = np.abs(A).max(initial=0.0)
+    scale = _scale(A)
     with warnings.catch_warnings():
         # the pivot check below raises on exact singularity
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     diag = np.abs(np.diag(lu))
     if scale == 0.0 or diag.min() < RANK_TOL * scale:
         raise SingularMatrixError("matrix is singular to working precision")

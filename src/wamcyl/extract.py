@@ -55,9 +55,10 @@ def precondition(mesh, n, steps):
     """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
     of the mesh, U = V P, shared by node selection and least squares.  P
     comes from Cholesky steps on G = V^T V (polybasis.gram) and U from one
-    grid scan, without V; V is built for steps = 0, giving (I, V), and for
-    `_householder` where G is not numerically positive definite or the
-    bound eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
+    grid scan, without V.  V is built for steps = 0, giving (None, V): P is
+    the identity and is not formed.  It is also built for `_householder`
+    where G is not numerically positive definite or the bound
+    eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
     basis = polybasis.enumerate_basis(n)
     if steps > 0:
         G = polybasis.gram(basis, mesh)
@@ -70,7 +71,8 @@ def precondition(mesh, n, steps):
                 return P, polybasis.evaluate(basis, P, mesh)
         except np.linalg.LinAlgError:
             pass
-    return _householder(polybasis.vandermonde(basis, mesh), steps)
+    V = polybasis.vandermonde(basis, mesh)
+    return (None, V) if steps == 0 else _householder(V, steps)
 
 
 def _householder(V, steps):
@@ -102,7 +104,9 @@ def select_nodes(mesh, n, method, U, ortho_steps):
     """Degree-n nodes from the rows of U, the preconditioned Vandermonde of
     the mesh, in greedy selection order: column-pivoted QR of U^T for
     'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'.
-    Raises ValueError for any other method."""
+    Raises ValueError for any other method.  'afp' overwrites a C-ordered
+    U (the QR runs in its memory), so pass one that no caller reads again;
+    'dlp' leaves U untouched."""
     N = U.shape[1]
     if method == "afp":
         rec = densela.qr_col_pivot(U.T)

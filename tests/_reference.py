@@ -1,9 +1,12 @@
 """Test-local references: scalar evaluators of the basis, the WAM-ratio
-monitor, and the exact product rule of the cubature oracle.
+monitor, the exact product rule of the cubature oracle, and a gauge of the
+memory a call allocates.
 
 None of these is called by the library.  The tests compare the library's
 vectorized code against them, or use them to check a claim of the paper.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -100,3 +103,15 @@ def product_rule(level):
 def rule_level_for_degree(d):
     """Smallest level whose product rule is exact for total degree d."""
     return max(0, (d + 1) // 2)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn(*args) runs, as tracemalloc sees them:
+    Python objects and numpy buffers (f2py copies included), not the
+    internal buffers of BLAS or LAPACK."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,7 +12,7 @@ import pytest
 
 import wamcyl
 from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
-from wamcyl.cli import _parse_degrees, main
+from wamcyl.cli import DegreeRun, _parse_degrees, main
 from wamcyl.errors import SingularMatrixError
 
 
@@ -181,6 +181,22 @@ def test_metrics_rows(tmp_path, capsys):
     assert by_q["cond_inf"] == pytest.approx(densela.cond_2(V), rel=1e-12)
     lsq = approx.lsq_norm(approx.build_lsq(mesh, 5), eval_on=control)
     assert by_q["lsq_norm"] == pytest.approx(lsq, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_afp_selection_leaves_the_shared_projector_intact(tmp_path, family):
+    # at approx.LSQ_STEPS steps selection and least squares share the
+    # projector's q; AFP factors a copy of it in place, so q and the LSQ
+    # norm taken after the selection are those of a fresh projector
+    run = DegreeRun(family, 5, "afp", approx.LSQ_STEPS)
+    q = run.projector.q.tobytes()
+    run.selection
+    assert run.projector.q.tobytes() == q
+    assert main(["metrics", "--mesh", family, "--method", "afp", "--degree", "5",
+                 "--out", str(tmp_path)]) == 0
+    got = {r[3]: float(r[4]) for r in _csv_rows(tmp_path / "results.csv")[1:]}
+    proj = approx.build_lsq(meshgen.generate_mesh(family, 5), 5)
+    assert got["lsq_norm"] == approx.lsq_norm(proj, meshgen.control_mesh(family, 5))
 
 
 def _blake(pts):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wamcyl import extract, meshgen
 from wamcyl.densela import (
     RANK_TOL,
     PivotRecord,
@@ -46,6 +47,42 @@ def test_qr_steps_limits_the_checked_pivots():
 def test_qr_requires_wide_matrix():
     with pytest.raises(ValueError):
         qr_col_pivot(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_qr_matches_scipy_qr_bitwise(family, n, steps):
+    # the in-place dgeqp3 call with its queried workspace pivots exactly as
+    # scipy.linalg.qr does: same order, same |diag R|
+    U = extract.precondition(meshgen.generate_mesh(family, n), n, steps)[1]
+    R, piv = scipy.linalg.qr(U.T, mode="r", pivoting=True)
+    rec = qr_col_pivot(U.T)
+    np.testing.assert_array_equal(rec.order, piv)
+    assert rec.magnitudes.tobytes() == np.abs(np.diag(R)).tobytes()
+
+
+def test_qr_copies_inputs_it_cannot_factor_in_place():
+    # a C-ordered matrix, a strided view and a read-only Fortran-ordered
+    # matrix are copied once and left as they were; the pivots are those of
+    # a Fortran-ordered copy
+    rng = np.random.default_rng(2)
+    read_only = np.asfortranarray(rng.standard_normal((12, 20)))
+    read_only.flags.writeable = False
+    for A in (rng.standard_normal((12, 20)), rng.standard_normal((40, 12)).T[:, ::2],
+              read_only):
+        before = A.copy()
+        rec = qr_col_pivot(A)
+        np.testing.assert_array_equal(A, before)
+        np.testing.assert_array_equal(rec.order, qr_col_pivot(np.asfortranarray(A)).order)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pivoted_factorizations_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        lu_row_pivot(np.array([[bad], [1.0], [2.0]]))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        qr_col_pivot(np.array([[1.0, bad, 2.0]]))
 
 
 def test_qr_pivot_magnitudes_nonincreasing():

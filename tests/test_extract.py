@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from _reference import traced_peak
+from scipy.linalg.lapack import dgeqp3
 
 from wamcyl import densela, extract, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
@@ -133,6 +135,28 @@ def test_select_nodes_rejects_unknown_method():
     U = precondition(mesh, 2, 0)[1]
     with pytest.raises(ValueError, match="unknown extraction method"):
         select_nodes(mesh, 2, "fekete", U, 0)
+
+
+def test_selection_holds_at_most_one_working_copy():
+    # DLP factors one Fortran-ordered copy of U; its largest temporary is
+    # the GEMM block of the last degree panel (66 of 286 columns, 19% of U).
+    # AFP factors an owned C-ordered U in its own memory and allocates only
+    # the workspace dgeqp3 asks for.  An |LU| temporary or a copy of U
+    # would add one more U.nbytes to either.
+    mesh = meshgen.wam1(10)
+    U = precondition(mesh, 10, 0)[1]
+    assert traced_peak(select_nodes, mesh, 10, "dlp", U, 0) < 1.3 * U.nbytes
+    work = 8 * int(dgeqp3(U.T, lwork=-1, overwrite_a=1)[3][0])
+    assert traced_peak(select_nodes, mesh, 10, "afp", U, 0) < work + 0.05 * U.nbytes
+
+
+def test_zero_steps_form_no_transform():
+    mesh = meshgen.wam2(4)
+    P, U = precondition(mesh, 4, 0)
+    assert P is None
+    np.testing.assert_array_equal(U, polybasis.vandermonde(polybasis.enumerate_basis(4), mesh))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        precondition(mesh, 4, -1)
 
 
 def test_selected_vandermonde_nonsingular():
