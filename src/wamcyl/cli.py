@@ -97,9 +97,9 @@ class DegreeRun:
     nodes are chosen.  The selection holds the one LU of its node
     Vandermonde."""
 
-    def __init__(self, family, degree, method="afp", ortho_steps=0, control_mult=None):
+    def __init__(self, family, degree, method="afp", ortho_steps=0):
         self.family, self.degree, self.method = family, degree, method
-        self.ortho_steps, self.control_mult = ortho_steps, control_mult
+        self.ortho_steps = ortho_steps
 
     @cached_property
     def mesh(self):
@@ -120,7 +120,7 @@ class DegreeRun:
 
     @cached_property
     def control(self):
-        return meshgen.control_mesh(self.family, self.degree, self.control_mult)
+        return meshgen.control_mesh(self.family, self.degree)
 
     def node_metrics(self):
         """Lebesgue constant and 2-norm condition number of the selection."""
@@ -170,8 +170,7 @@ def _runs(args):
     """The DegreeRun of every degree, each built as it is consumed."""
     if min(args.degree) < 1:
         raise ValueError(f"{args.command} needs degree >= 1")
-    return (DegreeRun(args.mesh, n, args.method, args.ortho_steps, args.control_mult)
-            for n in args.degree)
+    return (DegreeRun(args.mesh, n, args.method, args.ortho_steps) for n in args.degree)
 
 
 def _write_rows(args, row_fn, runs):
@@ -218,14 +217,13 @@ def cmd_reproduce(args):
         header, line = ("n", "lsq_norm_wam1", "lsq_norm_wam2"), "n={}: wam1 {:.4g}  wam2 {:.4g}"
 
         def values(n):  # each family's run lives only while its norm is taken
-            return [DegreeRun(family, n, control_mult=args.control_mult).lsq_norm()
-                    for family in ("wam1", "wam2")]
+            return [DegreeRun(family, n).lsq_norm() for family in ("wam1", "wam2")]
     else:
         header, line = ("n", "lebesgue", "cond_inf"), "n={}: lebesgue {:.4g}  cond {:.4g}"
         family, method = _TABLE_CONFIG[args.table]
 
-        def values(n):
-            return DegreeRun(family, n, method, args.ortho_steps, args.control_mult).node_metrics()
+        def values(n):  # 0 steps: unpreconditioned extraction mirrors the source experiments
+            return DegreeRun(family, n, method, ortho_steps=0).node_metrics()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -241,7 +239,7 @@ def build_parser():
     parser = _Parser(prog="wamcyl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False, scans=False, degrees="5"):
+    def common(p, method=False, degrees="5"):
         p.add_argument("--mesh", choices=meshgen.FAMILIES, required=True)
         p.add_argument("--degree", type=_parse_degrees, default=_parse_degrees(degrees),
                        help="degree, list '5,10' or range '5..20'")
@@ -249,9 +247,6 @@ def build_parser():
             p.add_argument("--method", choices=METHOD_CHOICES, default="afp")
             p.add_argument("--ortho-steps", type=_at_least(0), default=2,
                            help="orthogonalization steps for extraction (default 2)")
-        if scans:
-            p.add_argument("--control-mult", type=_at_least(1), default=None,
-                           help="override the control-mesh degree multiplier")
         p.add_argument("--out", default="out")
 
     p = sub.add_parser("gen", help="generate a mesh CSV + JSON sidecar")
@@ -263,11 +258,11 @@ def build_parser():
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("metrics", help="lebesgue / condition / operator norm rows")
-    common(p, method=True, scans=True)
+    common(p, method=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("errors", help="interpolation / least-squares / cubature errors")
-    common(p, method=True, scans=True, degrees="5..20")
+    common(p, method=True, degrees="5..20")
     p.add_argument("--function", action="append", default=None,
                    choices=sorted(testfns.REGISTRY), help="repeatable; default f3")
     p.set_defaults(func=cmd_errors)
@@ -275,10 +270,6 @@ def build_parser():
     p = sub.add_parser("reproduce", help="reproduce a results table")
     p.add_argument("--table", type=int, choices=(1, 2, 3, 4, 5), required=True)
     p.add_argument("--slow", action="store_true", help="include degrees 25 and 30")
-    # extraction without preconditioning mirrors the source experiments
-    p.add_argument("--ortho-steps", type=_at_least(0), default=0,
-                   help="extraction preconditioning steps (default 0 here)")
-    p.add_argument("--control-mult", type=_at_least(1), default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_reproduce)
     return parser

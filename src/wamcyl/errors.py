@@ -10,7 +10,9 @@ class DomainError(WamcylError):
 
 
 class RankDeficiencyError(WamcylError):
-    """A pivoted QR step found no column above the rank tolerance."""
+    """A pivoted QR step found no column above the rank tolerance, or the
+    Gram matrix of the basis on a mesh is too inaccurate for Cholesky
+    orthogonalization steps (extract.GRAM_BOUND)."""
 
 
 class SingularMatrixError(WamcylError):

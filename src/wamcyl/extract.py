@@ -46,58 +46,42 @@ class ExtractionResult:
         return densela.lu_factor_checked(self.vandermonde)
 
 
-# largest CholeskyQR error bound of the Gram path: above the <= 2e-13 of the
-# WAMs up to n = 25, below the 1e-5 of wam1(5) squeezed tenfold in z
+# largest CholeskyQR error bound precondition accepts: above the <= 3.9e-13
+# of the WAMs up to n = 30, below the 1e-5 of wam1(5) squeezed tenfold in z
 GRAM_BOUND = 1e-11
 
 
 def precondition(mesh, n, steps):
     """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
-    of the mesh, U = V P, shared by node selection and least squares.  P
-    comes from Cholesky steps on G = V^T V (polybasis.gram) and U from one
-    grid scan, without V.  V is built for steps = 0, giving (None, V): P is
-    the identity and is not formed.  It is also built for `_householder`
-    where G is not numerically positive definite or the bound
+    of the mesh, U = V P, shared by node selection and least squares.  For
+    steps = 0 this is (None, V): P is the identity and is not formed.
+    Otherwise P comes from Cholesky steps on G = V^T V (polybasis.gram) and
+    U from one grid scan, without V.  Raises ValueError for negative steps
+    or a mesh with fewer points than basis elements, before anything is
+    built, and RankDeficiencyError where G is not numerically positive
+    definite or the CholeskyQR error bound
     eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
-    basis = polybasis.enumerate_basis(n)
-    if steps > 0:
-        G = polybasis.gram(basis, mesh)
-        try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
-            P = dtrtri(scipy.linalg.cholesky(G))[0]
-            if np.finfo(float).eps * (np.abs(P).T @ np.sqrt(np.diag(G))).max() ** 2 <= GRAM_BOUND:
-                for _ in range(steps - 1):
-                    W = trmm(1.0, P, trmm(1.0, P, G, side=1), trans_a=1)  # P^T G P
-                    P = trmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
-                return P, polybasis.evaluate(basis, P, mesh)
-        except np.linalg.LinAlgError:
-            pass
-    V = polybasis.vandermonde(basis, mesh)
-    return (None, V) if steps == 0 else _householder(V, steps)
-
-
-def _householder(V, steps):
-    """(P, U) for the matrix V: R from a Householder QR of V (no Q formed),
-    then the Cholesky factor of U^T U per later step; U <- U R^-1, P <- P R^-1."""
-    V = np.asarray(V, dtype=float)
-    m, n = V.shape
-    if m < n:
-        raise ValueError(f"mesh of {m} points cannot support {n} basis elements")
     if steps < 0:
         raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
-    P, U = np.eye(n), V
-    for step in range(steps):
-        if step == 0:
-            R = np.linalg.qr(U, mode="r")
-            R = R * np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]  # canonical: diag(R) > 0
-        else:
-            R = scipy.linalg.cholesky(U.T @ U)
-        diag = np.diag(R)
-        if diag.max() <= 0.0 or diag.min() < densela.RANK_TOL * diag.max():
-            raise RankDeficiencyError("basis is rank deficient on this mesh")
-        Rinv = scipy.linalg.solve_triangular(R, np.eye(n))
-        P = P @ Rinv
-        U = U @ Rinv
-    return P, U
+    m, N = len(getattr(mesh, "points", mesh)), polybasis.basis_size(n)
+    if m < N:
+        raise ValueError(f"mesh of {m} points cannot support {N} basis elements")
+    basis = polybasis.enumerate_basis(n)
+    if steps == 0:
+        return None, polybasis.vandermonde(basis, mesh)
+    G = polybasis.gram(basis, mesh)
+    try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
+        P = dtrtri(scipy.linalg.cholesky(G))[0]
+        bound = np.finfo(float).eps * (np.abs(P).T @ np.sqrt(np.diag(G))).max() ** 2
+    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        bound = np.inf
+    if not bound <= GRAM_BOUND:
+        raise RankDeficiencyError(f"degree-{n} basis too ill-conditioned on this mesh: Gram "
+                                  f"error bound {bound:.2g} exceeds GRAM_BOUND = {GRAM_BOUND:g}")
+    for _ in range(steps - 1):
+        W = trmm(1.0, P, trmm(1.0, P, G, side=1), trans_a=1)  # P^T G P
+        P = trmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
+    return P, polybasis.evaluate(basis, P, mesh)
 
 
 def select_nodes(mesh, n, method, U, ortho_steps):

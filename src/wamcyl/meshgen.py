@@ -137,15 +137,12 @@ def generate_mesh(family, n):
     return gen(n)
 
 
-def control_degree(family, n, mult=None):
+def control_degree(family, n):
     """Degree of the control mesh used to estimate sup norms.
 
     wam1: 4n up to n = 20, then 2n.
     wam2: 4n up to n = 20, 3n up to n = 25, then 2n.
-    `mult` overrides the schedule with m = mult * n.
     """
-    if mult is not None:
-        return mult * n
     if family == "wam2":
         if n <= 20:
             return 4 * n
@@ -155,9 +152,9 @@ def control_degree(family, n, mult=None):
     return 4 * n if n <= 20 else 2 * n
 
 
-def control_mesh(family, n, mult=None):
+def control_mesh(family, n):
     """Same-family mesh at the control degree for n."""
-    return generate_mesh(family, control_degree(family, n, mult))
+    return generate_mesh(family, control_degree(family, n))
 
 
 class Orbits(NamedTuple):

@@ -4,33 +4,10 @@ import scipy.linalg
 from _reference import traced_peak
 from scipy.linalg.lapack import dgeqp3
 
-from wamcyl import densela, extract, meshgen, polybasis
+from wamcyl import densela, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
-from wamcyl.extract import _householder, precondition, select_afp, select_dlp, select_nodes
+from wamcyl.extract import precondition, select_afp, select_dlp, select_nodes
 from wamcyl.meshgen import Mesh
-
-
-def _no_householder(V, steps):
-    raise AssertionError("precondition fell back to the Householder path")
-
-
-def orthogonalize(V, steps):
-    # the P of the Householder path: V @ P has orthonormal columns
-    return _householder(V, steps)[0]
-
-
-def test_orthogonalize_zero_steps_identity():
-    V = np.random.default_rng(0).standard_normal((20, 5))
-    P = orthogonalize(V, 0)
-    np.testing.assert_array_equal(P, np.eye(5))
-
-
-def test_orthogonalize_defect_two_steps():
-    mesh = meshgen.wam1(5)
-    V = polybasis.vandermonde(polybasis.enumerate_basis(5), mesh)
-    P = orthogonalize(V, 2)
-    Q = V @ P
-    assert np.abs(Q.T @ Q - np.eye(56)).max() <= 1e-8
 
 
 def _explicit_q_transform(V, steps):
@@ -47,11 +24,10 @@ def _explicit_q_transform(V, steps):
 
 
 @pytest.mark.parametrize("steps", [1, 2])
-@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
-def test_precondition_matches_explicit_q_reference(family, n, steps, monkeypatch):
-    # the WAMs stay on the Gram path: the Householder fallback never runs
-    monkeypatch.setattr(extract, "_householder", _no_householder)
+def test_precondition_matches_explicit_q_reference(family, n, steps):
+    # the WAMs pass the Gram error bound, the smallest meshes included
     mesh = meshgen.generate_mesh(family, n)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
     P, U = precondition(mesh, n, steps)
@@ -61,57 +37,37 @@ def test_precondition_matches_explicit_q_reference(family, n, steps, monkeypatch
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
 
 
-def test_precondition_stays_on_the_gram_path_at_degree_20(monkeypatch):
+def test_precondition_stays_on_the_gram_path_at_degree_20():
     # wam2 has the larger Gram error bound of the two WAMs (1.6e-13 at
     # n = 20), still far below GRAM_BOUND
-    monkeypatch.setattr(extract, "_householder", _no_householder)
     _, U = precondition(meshgen.wam2(20), 20, 2)
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
 
 
-def test_precondition_falls_back_where_the_gram_matrix_is_inaccurate():
-    # wam1(5) squeezed tenfold in z: cond(V^T V) is large enough that Cholesky
-    # steps on V^T V leave a defect near 1e-6, so the Householder path runs
-    pts = meshgen.wam1(5).points * np.array([1.0, 1.0, 0.1])
-    mesh = Mesh("wam1", 5, pts)
-    P, U = precondition(mesh, 5, 2)
-    assert np.abs(U.T @ U - np.eye(56)).max() <= 1e-13
-    V = polybasis.vandermonde(polybasis.enumerate_basis(5), mesh)
-    ref_P, ref_U = _householder(V, 2)
-    assert np.abs(P - ref_P).max() <= 1e-13 * np.abs(ref_P).max()
-    assert np.abs(U - ref_U).max() <= 1e-13
+@pytest.mark.parametrize("squeeze", ["z tenfold", "one repeated point"])
+def test_precondition_rejects_a_mesh_the_gram_bound_cannot_certify(squeeze):
+    # wam1(5) squeezed tenfold in z has Gram error bound 1.2e-5; a mesh of
+    # one point repeated has a Gram matrix of rank 1.  Neither is a WAM, and
+    # Cholesky steps on either would not give an orthonormal U
+    if squeeze == "z tenfold":
+        pts = meshgen.wam1(5).points * np.array([1.0, 1.0, 0.1])
+    else:
+        pts = np.tile([0.5, 0.0, 0.25], (100, 1))
+    with pytest.raises(RankDeficiencyError, match="GRAM_BOUND"):
+        precondition(Mesh("wam1", 5, pts), 5, 2)
 
 
-def test_orthogonalize_accepts_graded_conditioning():
-    # singular values graded from 1 to 1e-10: the first step still meets the
-    # rank check, and the second brings the defect of V P down
-    rng = np.random.default_rng(0)
-    left, _ = np.linalg.qr(rng.standard_normal((300, 30)))
-    right, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-    V = (left * np.logspace(0, -10, 30)) @ right.T
-    Q = V @ orthogonalize(V, 2)
-    assert np.abs(Q.T @ Q - np.eye(30)).max() <= 1e-6
-    V[:, 7] = V[:, 3]
-    with pytest.raises(RankDeficiencyError):
-        orthogonalize(V, 2)
+def test_precondition_checks_its_inputs_before_building_anything(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a basis matrix for rejected inputs")
 
-
-def test_orthogonalize_orthonormal_input():
-    rng = np.random.default_rng(1)
-    Q, _ = np.linalg.qr(rng.standard_normal((40, 8)))
-    P = orthogonalize(Q, 1)
-    assert np.abs(np.abs(P) - np.eye(8)).max() < 1e-10  # up to column signs
-
-
-def test_orthogonalize_negative_steps():
-    with pytest.raises(ValueError):
-        orthogonalize(np.eye(4), -1)
-
-
-def test_orthogonalize_rank_deficient():
-    V = np.ones((10, 3))
-    with pytest.raises(RankDeficiencyError):
-        orthogonalize(V, 1)
+    for name in ("vandermonde", "gram", "evaluate"):
+        monkeypatch.setattr(polybasis, name, unbuilt)
+    with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+        precondition(meshgen.wam1(5), 5, -1)
+    for steps in (0, 2):
+        with pytest.raises(ValueError, match="8 points cannot support 56 basis elements"):
+            precondition(meshgen.wam1(1), 5, steps)
 
 
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
@@ -175,8 +131,7 @@ def test_dlp_prefix_same_matrix():
     # 35-column restriction, hence degree-4 Leja points prefix degree-5
     mesh = meshgen.wam1(5)
     V = polybasis.vandermonde(polybasis.enumerate_basis(5), mesh)
-    P = orthogonalize(V, 2)
-    U = V @ P
+    U = V @ precondition(mesh, 5, 2)[0]
     n4 = polybasis.basis_size(4)
     full = densela.lu_row_pivot(U).order[:n4]
     part = densela.lu_row_pivot(U[:, :n4]).order[:n4]
@@ -191,7 +146,8 @@ def test_dlp_prefix_every_degree_preconditioned(family):
     n = 10
     mesh = meshgen.generate_mesh(family, n)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
-    for U in (V @ orthogonalize(V, 2), precondition(mesh, n, 2)[1]):
+    P, U = precondition(mesh, n, 2)
+    for U in (V @ P, U):
         full = densela.lu_row_pivot(U).order
         for d in range(n):
             nd = polybasis.basis_size(d)

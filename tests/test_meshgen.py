@@ -188,7 +188,6 @@ def test_control_schedule():
     assert control_degree("wam1", 30) == 60
     assert control_degree("wam1", 20) == 80
     assert control_degree("wam2", 26) == 52
-    assert control_degree("wam1", 7, mult=6) == 42
 
 
 def _assert_slabs_partition(pts):
