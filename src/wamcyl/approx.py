@@ -8,9 +8,9 @@ large control meshes are reductions of X b(x) over one stream of z layers
 node; the maximum is order-independent, so neither the layering nor the
 order of the points changes results.
 
-The least-squares operator norm is a maximum over orbit representatives of
-the evaluation points.  Its Lebesgue function x -> ||Q P^T b(x)||_1 is
-invariant under every isometry of the cylinder that maps the mesh onto
+The least-squares operator norm is a maximum over the least row of each
+orbit of the evaluation points.  Its Lebesgue function x -> ||Q P^T b(x)||_1
+is invariant under every isometry of the cylinder that maps the mesh onto
 itself, since such a map also maps the polynomial space onto itself (Bos,
 Calvi, Levenberg, Sommariva, Vianello, Math. Comp. 2011).  The isometries
 are verified point by point on the mesh and on the evaluation set
@@ -125,8 +125,8 @@ def lsq_norm(proj, eval_on):
     """Operator norm of the projector: max over the points of eval_on (a
     Mesh or an (M, 3) array) of ||Q P^T b(x)||_1.
 
-    The maximum is taken over meshgen.orbit_representatives of the points
-    (see the module docstring for why that is the maximum over all of them).
+    The maximum is taken over the least row of each orbit of the points
+    (meshgen.orbit_representatives); the module docstring says why.
     """
     pts = np.asarray(getattr(eval_on, "points", eval_on), dtype=float)
     rows = meshgen.orbit_representatives(proj.mesh, pts).rows

@@ -1,15 +1,15 @@
 """Dense pivoted factorizations behind node extraction and solves.
 
 Pivot selection uses strict greater-than comparisons, so the earliest
-index wins among exact ties; re-running on identical input is
-bit-identical.  Column-pivoted QR is delegated to LAPACK (dgeqp3, which
-also breaks norm ties toward the first index) and runs in the memory of a
-Fortran-ordered input.  Row-pivoted LU is left-looking over the degree
-panels of the graded basis: one triangular solve and one GEMM per panel,
-then column-by-column elimination inside it.  A panel's operations
-depend only on the row count and its degree, so pivot choices on a
-leading block of whole degrees are bitwise independent of any trailing
-columns.
+index wins among exact ties; re-running on identical input under one
+BLAS thread count is bit-identical.  Column-pivoted QR is delegated to
+LAPACK (dgeqp3, which also breaks norm ties toward the first index) and
+runs in the memory of a Fortran-ordered input.  Row-pivoted LU is
+left-looking over the degree panels of the graded basis: one triangular
+solve and one GEMM per panel, then column-by-column elimination inside
+it.  A panel's operations depend only on the row count and its degree,
+so pivot choices on a leading block of whole degrees are bitwise
+independent of any trailing columns.
 """
 
 import warnings

@@ -158,35 +158,25 @@ def control_mesh(family, n):
 
 
 class Orbits(NamedTuple):
-    """Orbit representatives of a group of isometries of the cylinder.
-
-    The group is generated by the rotation about the z-axis by
-    2*pi/rotations, the reflection in the plane through the axis at angle
-    `axis` (None: no reflection) and, if flip_z, z -> -z.  `rows` indexes
-    the evaluation points kept to represent every orbit.
-    """
+    """The `rows` of the evaluation points least in their orbit under the
+    verified isometries `maps`, a group of (3, 3) matrices, identity first."""
 
     rows: np.ndarray
-    rotations: int
-    axis: float | None
-    flip_z: bool
+    maps: np.ndarray
 
 
 def orbit_representatives(mesh, pts):
-    """Points of pts (a Mesh or (M, 3) array) that meet every orbit of the
+    """The least row of each orbit of pts (a Mesh or (M, 3) array) under the
     isometries of the cylinder mapping both mesh and pts onto themselves.
 
     Candidates are the rotations about the z-axis by multiples of 2*pi/g, g
     the gcd of the rim point counts of the two sets, the reflections in the
     planes through the axis at multiples of pi/g, and z -> -z.  One is kept
     if it maps every z layer of each set (polybasis._slabs) onto a layer of
-    that set, each image within DEDUP_TOL of its own point.  The kept points
-    lie in the fundamental sector of the verified planar group, closed and
-    widened by DEDUP_TOL (angle in [axis, axis + pi/p] for a dihedral group
-    of rotation order p, in [0, 2*pi/p] for a cyclic one), or on the axis,
-    and have z >= 0 if z -> -z verified.  That is a superset of one point
-    per orbit, so any function invariant under the group has the same
-    maximum over them as over pts.  If nothing verifies, every point is kept.
+    that set, each image within DEDUP_TOL of its own point; those matches
+    give its row permutation of pts.  The candidates form a group, so the
+    kept ones do, and any function invariant under it has the same maximum
+    over the rows as over pts.  If nothing verifies, every row is kept.
     """
     sets = [np.asarray(getattr(s, "points", s), dtype=float) for s in (mesh, pts)]
     layers = [polybasis._slabs(s) for s in sets]
@@ -194,27 +184,26 @@ def orbit_representatives(mesh, pts):
     angle = 2 * np.pi * np.arange(g) / g
     c, s = np.cos(angle), np.sin(angle)
 
-    def verified(A, flip=False):
-        return all(_maps_onto(lay, np.array(A), flip) for lay in layers)
+    def permutation(A, flip=False):
+        # the row permutation of pts, or None unless the map verifies
+        verified = _maps_onto(layers[0], A, flip) is not None
+        return _maps_onto(layers[1], A, flip) if verified else None
 
-    # rotations by 2*pi*k/g, and reflections in the axes at pi*k/g
-    rot_ok = [k == 0 or verified([[c[k], -s[k]], [s[k], c[k]]]) for k in range(g)]
-    ref_ok = [verified([[c[k], s[k]], [s[k], -c[k]]]) for k in range(g)]
-    # the largest group all of whose elements verified
-    p = max(d for d in range(1, g + 1) if g % d == 0 and all(rot_ok[:: g // d]))
-    axes = [k for k in range(g // p) if all(ref_ok[k :: g // p])]
-    axis = np.pi * axes[0] / g if axes else None
-    flip_z = verified(np.eye(2), flip=True)
-
-    x, y, z = sets[1].T
-    r = np.hypot(x, y)
-    width = 2 * np.pi / p if axis is None else np.pi / p
-    phi = (np.arctan2(y, x) - (axis or 0.0)) % (2 * np.pi)
-    slack = DEDUP_TOL / np.maximum(r, DEDUP_TOL)  # DEDUP_TOL as an angle at radius r
-    keep = (phi <= width + slack) | (phi >= 2 * np.pi - slack) | (r <= DEDUP_TOL)
-    if flip_z:
-        keep &= z >= -DEDUP_TOL
-    return Orbits(np.flatnonzero(keep), p, axis, flip_z)
+    # rotations by 2*pi*k/g, then reflections in the axes at pi*k/g, one
+    # permutation at a time: least[i] is the least image of row i so far
+    least, maps = np.arange(len(sets[1])), [np.eye(2)]
+    for A in ([np.array([[c[k], -s[k]], [s[k], c[k]]]) for k in range(1, g)]
+              + [np.array([[c[k], s[k]], [s[k], -c[k]]]) for k in range(g)]):
+        perm = permutation(A)
+        if perm is not None:
+            np.minimum(least, perm, out=least)
+            maps.append(A)
+    maps = np.stack([np.pad(A, (0, 1)) for A in maps]) + np.diag([0.0, 0.0, 1.0])
+    flip = permutation(np.eye(2), flip=True)
+    if flip is not None:  # z -> -z commutes with every planar map
+        np.minimum(least, least[flip], out=least)
+        maps = np.concatenate([maps, maps * [1.0, 1.0, -1.0]])
+    return Orbits(np.flatnonzero(least == np.arange(least.size)), maps)
 
 
 def _rim_count(layers):
@@ -227,34 +216,45 @@ def _rim_count(layers):
 
 
 def _maps_onto(layers, A, flip):
-    # whether (x, y, z) -> (A (x, y), -z if flip else z) maps the layers
-    # (xy, z, rows) of one point set onto layers of the same set, one to one
+    # the row permutation perm[i] = (row of the image of row i) of one point
+    # set, given as its layers (xy, z, rows), under (x, y, z) -> (A (x, y),
+    # -z if flip else z); None unless every z layer maps onto a layer
     z = np.concatenate([lay[1] for lay in layers])
-    grid = np.repeat(np.arange(len(layers)), [len(lay[1]) for lay in layers])
+    flat = [(a, r) for a, lay in enumerate(layers) for r in lay[2]]
+    partner = range(z.size)
     if flip:
         order = np.argsort(z)
         j = np.minimum(np.searchsorted(z[order], -z - DEDUP_TOL), z.size - 1)
         if np.any(np.abs(z[order[j]] + z) > DEDUP_TOL) or np.unique(j).size < j.size:
-            return False
-        pairs = set(zip(grid.tolist(), grid[order[j]].tolist()))
-    else:
-        pairs = {(i, i) for i in range(len(layers))}
-    return all(_onto(layers[a][0] @ A.T, layers[b][0]) for a, b in pairs)
+            return None
+        partner = order[j].tolist()
+    perm, matches = np.empty(sum(r.size for _, r in flat), dtype=np.intp), {}
+    for (a, r), (b, image) in zip(flat, (flat[v] for v in partner)):
+        if (a, b) not in matches:
+            matches[a, b] = _onto(layers[a][0] @ A.T, layers[b][0])
+        if matches[a, b] is None:
+            return None
+        perm[r] = image[matches[a, b]]
+    return perm
 
 
 def _onto(images, target):
-    # whether every image lies within DEDUP_TOL (per coordinate) of its own
-    # target point: candidates by a window on the sorted x, then y checked
+    # the row of target within DEDUP_TOL (per coordinate) of each image, or
+    # None unless every image has its own: candidates by a window on the
+    # sorted x, then y checked
     if len(images) != len(target):
-        return False
+        return None
     order = np.argsort(target[:, 0])
     tx, ty = target[order, 0], target[order, 1]
     lo = np.searchsorted(tx, images[:, 0] - DEDUP_TOL)
     hi = np.searchsorted(tx, images[:, 0] + DEDUP_TOL, side="right")
     match = np.full(len(images), -1)
-    for off in range(int((hi - lo).max())):
-        i = lo + off
-        hit = (i < hi) & (match < 0)
-        hit[hit] = np.abs(ty[i[hit]] - images[hit, 1]) <= DEDUP_TOL
-        match[hit] = i[hit]
-    return bool(np.all(match >= 0)) and np.unique(match).size == match.size
+    todo = np.flatnonzero(lo < hi)  # the images not yet matched, at candidate lo
+    while todo.size:
+        hit = np.abs(ty[lo[todo]] - images[todo, 1]) <= DEDUP_TOL
+        match[todo[hit]] = lo[todo[hit]]
+        lo[todo] += 1
+        todo = todo[~hit & (lo[todo] < hi[todo])]
+    if np.any(match < 0) or np.unique(match).size < match.size:
+        return None
+    return order[match]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from _reference import empirical_wam_ratio
+from _reference import empirical_wam_ratio, traced_peak
 from scipy.spatial import cKDTree
 
 from wamcyl import approx, densela, extract, meshgen, polybasis
@@ -136,11 +136,6 @@ def test_lebesgue_blocking_invariance(monkeypatch):
     np.testing.assert_allclose(one[3], np.abs(f).max(axis=0), rtol=1e-12)
 
 
-def _group_order(orbits):
-    return (orbits.rotations * (1 if orbits.axis is None else 2)
-            * (2 if orbits.flip_z else 1))
-
-
 def _column_sum_max(_, G):
     return np.abs(G).sum(axis=0).max()
 
@@ -167,7 +162,7 @@ def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
     ctrl = meshgen.control_mesh(family, n)
     orbits = meshgen.orbit_representatives(mesh, ctrl)
     order = _GROUP_ORDERS[family, n]
-    assert _group_order(orbits) == order
+    assert len(orbits.maps) == order
     assert (orbits.rows.size < ctrl.cardinality) == (order > 1)
     rng = np.random.default_rng(14)
     C = rng.uniform(-1, 1, (polybasis.basis_size(n), 3))
@@ -187,51 +182,71 @@ def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
-def _images(orbits):
-    # the group of orbits as 3 x 3 orthogonal matrices
-    planar = []
-    for t in 2 * np.pi * np.arange(orbits.rotations) / orbits.rotations:
-        c, s = np.cos(t), np.sin(t)
-        planar.append(np.array([[c, -s], [s, c]]))
-        if orbits.axis is not None:  # the reflection in the axis at axis + t/2
-            c, s = np.cos(2 * orbits.axis + t), np.sin(2 * orbits.axis + t)
-            planar.append(np.array([[c, s], [s, -c]]))
-    out = []
-    for A in planar:
-        for sz in ((1.0, -1.0) if orbits.flip_z else (1.0,)):
-            M = np.eye(3)
-            M[:2, :2], M[2, 2] = A, sz
-            out.append(M)
-    return out
-
-
 @pytest.mark.parametrize("family,n,jitter", [("wam1", 5, 0.0), ("wam2", 2, 0.0),
                                               ("wam2", 6, 0.0), ("wam2", 5, 0.0),
                                               ("wam1", 5, 1e-14), ("wam2", 6, 1e-14)])
 def test_orbit_representatives_meet_every_orbit(family, n, jitter):
-    # every group element maps mesh and control mesh onto themselves, and
-    # every control point has an image among the kept points; control points
-    # moved by far less than DEDUP_TOL still verify, and the widened sector
-    # keeps the ones pushed off its boundary rays
+    # every group element maps mesh and control mesh onto themselves, every
+    # control point has an image among the kept points and no kept point has
+    # another one; control points moved by far less than DEDUP_TOL still
+    # verify, with the same row permutations, so the same rows are kept
     mesh, ctrl = meshgen.generate_mesh(family, n), meshgen.control_mesh(family, n)
     exact = meshgen.orbit_representatives(mesh, ctrl)
     pts = ctrl.points.copy()  # z stays exact: the z layers are checked one by one
     pts[:, :2] += jitter * np.random.default_rng(18).uniform(-1, 1, (len(pts), 2))
     ctrl = meshgen.Mesh(family, n, pts)
     orbits = meshgen.orbit_representatives(mesh, ctrl)
-    assert orbits[1:] == exact[1:]
-    group = _images(orbits)
-    assert len(group) == _group_order(orbits)
+    np.testing.assert_array_equal(orbits.maps, exact.maps)
+    np.testing.assert_array_equal(orbits.rows, exact.rows)
     kept = cKDTree(ctrl.points[orbits.rows])
     trees = [(s, cKDTree(s)) for s in (mesh.points, ctrl.points)]
     hit = np.zeros(ctrl.cardinality, dtype=bool)
-    for M in group:
+    for M in orbits.maps:
         for s, tree in trees:
             d, i = tree.query(s @ M.T)
             assert d.max() <= 1e-12 and np.unique(i).size == len(s)
         hit |= kept.query(ctrl.points @ M.T)[0] <= 1e-12
+        d, i = kept.query(ctrl.points[orbits.rows] @ M.T)
+        assert np.all((d > 1e-12) | (i == np.arange(orbits.rows.size)))
     assert hit.all()
-    assert (orbits.rows.size < ctrl.cardinality) == (len(group) > 1)
+    assert (orbits.rows.size < ctrl.cardinality) == (len(orbits.maps) > 1)
+
+
+def test_orbit_representatives_keep_one_row_per_orbit():
+    # a chiral set: r = 0.5, z = 0 at the angles 2*pi*k/4, then at those
+    # plus 0.3.  With wam1(5) it has the quarter turns and z -> -z, no
+    # reflection, so rows 0..3 are one orbit and rows 4..7 another
+    t = np.concatenate([2 * np.pi * np.arange(4) / 4 + d for d in (0.0, 0.3)])
+    pts = np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t), np.zeros(8)])
+    orbits = meshgen.orbit_representatives(meshgen.wam1(5), pts)
+    np.testing.assert_array_equal(orbits.rows, [0, 4])
+    maps = orbits.maps
+    assert len(maps) == 8
+    np.testing.assert_array_equal(maps[0], np.eye(3))
+    np.testing.assert_allclose(maps @ maps.transpose(0, 2, 1) - np.eye(3), 0, atol=1e-15)
+    # closed under products: every product is one of the maps
+    products = np.einsum("aij,bjk->abik", maps, maps).reshape(-1, 1, 9)
+    assert (np.abs(products - maps.reshape(1, -1, 9)).max(axis=2) <= 1e-14).any(axis=1).all()
+
+
+@pytest.mark.parametrize("family,n,rows,order", [
+    ("wam1", 12, 7825, 16), ("wam1", 15, 14911, 16), ("wam1", 20, 34481, 16),
+    ("wam2", 12, 15025, 4), ("wam2", 15, 113491, 1), ("wam2", 20, 23001, 12)])
+def test_orbit_counts_on_the_control_schedule(family, n, rows, order):
+    # beyond _GROUP_ORDERS: the rows kept and the group order on the mesh
+    # and control mesh of the degree (the whole control mesh at odd n on wam2)
+    ctrl = meshgen.control_mesh(family, n)
+    orbits = meshgen.orbit_representatives(meshgen.generate_mesh(family, n), ctrl)
+    assert (orbits.rows.size, len(orbits.maps)) == (rows, order)
+    assert (rows == ctrl.cardinality) == (order == 1)
+
+
+def test_orbit_representatives_hold_one_permutation_at_a_time():
+    # the 48 row permutations at wam1 n = 10 are made one at a time: the
+    # traced peak stays below 8 arrays of M int64 (keeping all 48 needs 48)
+    ctrl = meshgen.control_mesh("wam1", 10)
+    peak = traced_peak(meshgen.orbit_representatives, meshgen.wam1(10), ctrl)
+    assert peak < 8 * 8 * ctrl.cardinality
 
 
 def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
@@ -244,7 +259,7 @@ def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
     i = int(np.flatnonzero((r > 0.3) & (r < 0.9) & (pts[:, 1] > 0.1) & (pts[:, 2] > 0.2))[0])
     pts[i, 0] += 1e-9
     orbits = meshgen.orbit_representatives(mesh, pts)
-    assert (orbits.rotations, orbits.axis, orbits.flip_z) == (1, None, False)
+    np.testing.assert_array_equal(orbits.maps, [np.eye(3)])
     np.testing.assert_array_equal(orbits.rows, np.arange(len(pts)))
     proj = build_lsq(mesh, n)
     scanned = []
