@@ -69,9 +69,7 @@ def _single_degree(args):
 def cmd_gen(args):
     n = _single_degree(args)
     mesh = meshgen.generate_mesh(args.mesh, n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = fileio.write_mesh_csv(out / f"{args.mesh}{n}.csv", mesh)
+    path = fileio.write_mesh_csv(Path(args.out) / f"{args.mesh}{n}.csv", mesh)
     print(f"{mesh.family} degree {mesh.degree}: {mesh.cardinality} points -> {path}")
     return 0
 
@@ -80,11 +78,7 @@ def cmd_extract(args):
     n = _single_degree(args)
     run = DegreeRun(args.mesh, n, args.method, args.ortho_steps)
     sel = run.selection
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = fileio.write_extraction_csv(
-        out / f"{args.mesh}{n}_{args.method}.csv", sel
-    )
+    path = fileio.write_extraction_csv(Path(args.out) / f"{args.mesh}{n}_{args.method}.csv", sel)
     print(f"{args.method} degree {sel.degree} from {run.mesh.family}: {sel.count} nodes -> {path}")
     return 0
 
@@ -178,9 +172,7 @@ def _write_rows(args, row_fn, runs):
     degree is freed before the next is built; sort, append to results.csv
     and print the rows."""
     rows = sorted((row for run in runs for row in row_fn(run)), key=lambda r: (r[0], r[1], r[3]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = fileio.append_results(out / "results.csv", rows)
+    path = fileio.append_results(Path(args.out) / "results.csv", rows)
     for row in rows:
         print(f"{row[3]} n={row[0]} {row[2]}/{row[1]}: {row[4]:.6g}")
     print(f"appended {len(rows)} rows -> {path}")
@@ -224,13 +216,11 @@ def cmd_reproduce(args):
 
         def values(n):  # 0 steps: unpreconditioned extraction mirrors the source experiments
             return DegreeRun(family, n, method, ortho_steps=0).node_metrics()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in degrees:
         rows.append((n, *values(n)))
         print(line.format(*rows[-1]))
-    path = fileio.write_table_csv(out / f"table{args.table}.csv", header, rows)
+    path = fileio.write_table_csv(Path(args.out) / f"table{args.table}.csv", header, rows)
     print(f"table {args.table} -> {path}")
     return 0
 

@@ -1,8 +1,9 @@
 """CSV / JSON emission for meshes, nodes, tables and results.
 
 All floating-point fields are written with 17 significant digits, which
-round-trips IEEE doubles exactly.  Every file goes through one writer;
-the public writers hold the formats: headers and sidecar schemas.
+round-trips IEEE doubles exactly.  Every file goes through one writer,
+which also creates its directory; the public writers hold the formats:
+headers and sidecar schemas.
 """
 
 import csv
@@ -18,8 +19,10 @@ def fmt(x):
 
 def _write(path, header, rows, meta=None, mode="w"):
     """Write rows under header, floats through fmt and the header only when
-    the file starts empty; write meta to a JSON sidecar when given."""
+    the file starts empty; write meta to a JSON sidecar when given.  The
+    directory is created first, with its parents."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open(mode, newline="") as fh:
         w = csv.writer(fh)
         if fh.tell() == 0:

@@ -169,40 +169,40 @@ def orbit_representatives(mesh, pts):
     """The least row of each orbit of pts (a Mesh or (M, 3) array) under the
     isometries of the cylinder mapping both mesh and pts onto themselves.
 
-    Candidates are the rotations about the z-axis by multiples of 2*pi/g, g
-    the gcd of the rim point counts of the two sets, the reflections in the
-    planes through the axis at multiples of pi/g, and z -> -z.  One is kept
-    if it maps every z layer of each set (polybasis._slabs) onto a layer of
-    that set, each image within DEDUP_TOL of its own point; those matches
-    give its row permutation of pts.  The candidates form a group, so the
-    kept ones do, and any function invariant under it has the same maximum
-    over the rows as over pts.  If nothing verifies, every row is kept.
+    Every candidate is a (3, 3) matrix: the rotations about the z-axis by
+    multiples of 2*pi/g, g the gcd of the rim point counts of the two sets,
+    those times diag(1, -1, 1) (reflections in planes through the axis),
+    and z -> -z.  One is kept if _maps_onto verifies it on both sets; its
+    matches give its row permutation of pts.  The candidates form a group,
+    so the kept ones do, and any function invariant under it has the same
+    maximum over the rows as over pts.  If nothing verifies, every row is
+    kept.
     """
     sets = [np.asarray(getattr(s, "points", s), dtype=float) for s in (mesh, pts)]
     layers = [polybasis._slabs(s) for s in sets]
     g = math.gcd(*(_rim_count(s) for s in layers))
     angle = 2 * np.pi * np.arange(g) / g
-    c, s = np.cos(angle), np.sin(angle)
+    c, s, zero, one = np.cos(angle), np.sin(angle), np.zeros(g), np.ones(g)
+    rot = np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=1).reshape(g, 3, 3)
 
-    def permutation(A, flip=False):
-        # the row permutation of pts, or None unless the map verifies
-        verified = _maps_onto(layers[0], A, flip) is not None
-        return _maps_onto(layers[1], A, flip) if verified else None
+    def permutation(G):
+        # the row permutation of pts, or None unless G verifies
+        verified = _maps_onto(layers[0], G) is not None
+        return _maps_onto(layers[1], G) if verified else None
 
     # rotations by 2*pi*k/g, then reflections in the axes at pi*k/g, one
     # permutation at a time: least[i] is the least image of row i so far
-    least, maps = np.arange(len(sets[1])), [np.eye(2)]
-    for A in ([np.array([[c[k], -s[k]], [s[k], c[k]]]) for k in range(1, g)]
-              + [np.array([[c[k], s[k]], [s[k], -c[k]]]) for k in range(g)]):
-        perm = permutation(A)
+    least, maps = np.arange(len(sets[1])), [rot[0]]
+    for G in [*rot[1:], *(rot @ np.diag([1.0, -1.0, 1.0]))]:
+        perm = permutation(G)
         if perm is not None:
             np.minimum(least, perm, out=least)
-            maps.append(A)
-    maps = np.stack([np.pad(A, (0, 1)) for A in maps]) + np.diag([0.0, 0.0, 1.0])
-    flip = permutation(np.eye(2), flip=True)
-    if flip is not None:  # z -> -z commutes with every planar map
-        np.minimum(least, least[flip], out=least)
-        maps = np.concatenate([maps, maps * [1.0, 1.0, -1.0]])
+            maps.append(G)
+    maps, flip = np.stack(maps), np.diag([1.0, 1.0, -1.0])
+    perm = permutation(flip)
+    if perm is not None:  # z -> -z commutes with every planar map
+        np.minimum(least, least[perm], out=least)
+        maps = np.concatenate([maps, maps @ flip])
     return Orbits(np.flatnonzero(least == np.arange(least.size)), maps)
 
 
@@ -215,23 +215,22 @@ def _rim_count(layers):
     return max(1, np.count_nonzero(np.diff(t, append=t[0] + 2 * np.pi) > DEDUP_TOL))
 
 
-def _maps_onto(layers, A, flip):
+def _maps_onto(layers, G):
     # the row permutation perm[i] = (row of the image of row i) of one point
-    # set, given as its layers (xy, z, rows), under (x, y, z) -> (A (x, y),
-    # -z if flip else z); None unless every z layer maps onto a layer
+    # set, given as its layers (xy, z, rows), under the isometry G (3, 3):
+    # xy -> G[:2, :2] xy, z -> G[2, 2] z.  The z layers are paired by _onto
+    # on the (z, 0) pairs, the points of paired layers by _onto on xy; None
+    # unless every layer and every point has its own match
     z = np.concatenate([lay[1] for lay in layers])
     flat = [(a, r) for a, lay in enumerate(layers) for r in lay[2]]
-    partner = range(z.size)
-    if flip:
-        order = np.argsort(z)
-        j = np.minimum(np.searchsorted(z[order], -z - DEDUP_TOL), z.size - 1)
-        if np.any(np.abs(z[order[j]] + z) > DEDUP_TOL) or np.unique(j).size < j.size:
-            return None
-        partner = order[j].tolist()
+    zs = np.column_stack([z, np.zeros_like(z)])
+    partner = _onto(zs * [G[2, 2], 1.0], zs)
+    if partner is None:
+        return None
     perm, matches = np.empty(sum(r.size for _, r in flat), dtype=np.intp), {}
     for (a, r), (b, image) in zip(flat, (flat[v] for v in partner)):
         if (a, b) not in matches:
-            matches[a, b] = _onto(layers[a][0] @ A.T, layers[b][0])
+            matches[a, b] = _onto(layers[a][0] @ G[:2, :2].T, layers[b][0])
         if matches[a, b] is None:
             return None
         perm[r] = image[matches[a, b]]

@@ -249,6 +249,46 @@ def test_orbit_representatives_hold_one_permutation_at_a_time():
     assert peak < 8 * 8 * ctrl.cardinality
 
 
+@pytest.mark.parametrize("family,n", [("wam1", 5), ("wam2", 6)])
+def test_every_map_permutes_both_sets(family, n):
+    # each verified G gives, on the layers of mesh and control mesh alike,
+    # a row permutation with pts[perm] = pts G^T; the least row of each
+    # orbit rebuilt from all of them at once is orbits.rows
+    mesh, ctrl = meshgen.generate_mesh(family, n), meshgen.control_mesh(family, n)
+    orbits = meshgen.orbit_representatives(mesh, ctrl)
+    assert len(orbits.maps) > 1
+    for pts in (mesh.points, ctrl.points):
+        perms = [meshgen._maps_onto(polybasis._slabs(pts), G) for G in orbits.maps]
+        for G, perm in zip(orbits.maps, perms):
+            np.testing.assert_array_equal(np.sort(perm), np.arange(len(pts)))
+            assert np.abs(pts[perm] - pts @ G.T).max() <= 1e-12
+    least = np.min(perms, axis=0)  # over the control mesh's permutations
+    np.testing.assert_array_equal(np.flatnonzero(least == np.arange(least.size)), orbits.rows)
+
+
+def test_z_layers_pair_by_the_point_match():
+    # z -> -z verifies on wam1(3), whose z layers are symmetric, and not
+    # once they are squeezed and shifted to [-0.25, 0.75]
+    pts = meshgen.wam1(3).points
+    flip = np.diag([1.0, 1.0, -1.0])
+    perm = meshgen._maps_onto(polybasis._slabs(pts), flip)
+    assert np.abs(pts[perm] - pts * [1.0, 1.0, -1.0]).max() <= 1e-12
+    shifted = pts * [1.0, 1.0, 0.5] + [0.0, 0.0, 0.25]
+    assert meshgen._maps_onto(polybasis._slabs(shifted), flip) is None
+
+
+@pytest.mark.parametrize("family,n,order,rows", [
+    ("wam1", 2, 32, 4), ("wam1", 5, 48, 9), ("wam1", 10, 96, 36), ("wam1", 20, 176, 121),
+    ("wam2", 2, 12, 4), ("wam2", 5, 4, 36), ("wam2", 6, 28, 16), ("wam2", 10, 44, 36),
+    ("wam2", 20, 84, 121)])
+def test_each_mesh_has_its_own_group(family, n, order, rows):
+    # orbit_representatives(mesh, mesh): the mesh's own group, and the rows
+    # left of the mesh itself
+    mesh = meshgen.generate_mesh(family, n)
+    orbits = meshgen.orbit_representatives(mesh, mesh)
+    assert (len(orbits.maps), orbits.rows.size) == (order, rows)
+
+
 def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
     # one control point moved by 1e-9 breaks every isometry: the LSQ norm
     # is then the maximum over the whole (nudged) control mesh

@@ -51,3 +51,8 @@ def test_results_append(tmp_path):
     assert rows[0] == list(fileio.RESULTS_HEADER)
     assert len(rows) == 3
     assert rows[1][3] == "lebesgue"
+
+
+def test_writer_creates_the_directory(tmp_path):
+    path = fileio.write_table_csv(tmp_path / "a" / "b" / "t.csv", ("n", "v"), [(5, 0.5)])
+    assert path.read_text().splitlines() == ["n,v", "5,0.5"]
