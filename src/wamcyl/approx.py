@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import extract, meshgen, polybasis
+from . import densela, extract, meshgen, polybasis
 
 # orthogonalization steps of a least-squares projector (see build_lsq)
 LSQ_STEPS = 2
@@ -86,7 +86,7 @@ def lagrange_matrix(nodes):
 def lsq_matrix(proj):
     """(M, N) matrix Q P^T, which maps b(x) to the weights of the mesh
     samples in the least-squares fit at x."""
-    return proj.q @ proj.transform.T
+    return densela._gemm(proj.q, proj.transform.T)
 
 
 def _projector_norm(degree, X, pts):
@@ -118,7 +118,9 @@ def lsq_fit(proj, samples):
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != proj.q.shape[0]:
         raise ValueError("samples must align with the projector mesh")
-    return proj.transform @ (proj.q.T @ samples)
+    S = samples.reshape(len(samples), -1)
+    C = densela._gemm(proj.transform, densela._gemm(proj.q.T, S))
+    return C.reshape((-1,) + samples.shape[1:])
 
 
 def lsq_norm(proj, eval_on):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import polybasis
+from . import densela, polybasis
 from .errors import ConvergenceError
 
 ORACLE_START_LEVEL = 4
@@ -120,14 +120,16 @@ def cubature_weights(nodes):
     """
     b = moments_wade(nodes.degree)
     w = scipy.linalg.lu_solve(nodes.lu, b, trans=1)
-    w = w + scipy.linalg.lu_solve(nodes.lu, b - nodes.vandermonde.T @ w, trans=1)
+    r = b - densela._gemm(nodes.vandermonde.T, w[:, None])[:, 0]
+    w = w + scipy.linalg.lu_solve(nodes.lu, r, trans=1)
     return CubatureRule(nodes=nodes.nodes, weights=w)
 
 
 def apply_rule(rule, f):
     """Apply the rule to f(x, y, z); f must accept coordinate arrays."""
     x, y, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
-    return float(np.dot(rule.weights, np.asarray(f(x, y, z), dtype=float)))
+    vals = np.asarray(f(x, y, z), dtype=float)
+    return float(densela._gemm(rule.weights[None, :], vals[:, None])[0, 0])
 
 
 def _integrate_level(f, rules):

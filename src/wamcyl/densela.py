@@ -1,4 +1,10 @@
-"""Dense pivoted factorizations behind node extraction and solves.
+"""Dense pivoted factorizations behind node extraction and solves, and the
+one matrix product of the package.
+
+Every dense product of `wamcyl` goes through `_gemm`, which calls
+scipy's BLAS: numpy and scipy each bundle an OpenBLAS with its own
+thread pool, and while one works the other's idle workers still spin
+for the same cores.
 
 Pivot selection uses strict greater-than comparisons, so the earliest
 index wins among exact ties; re-running on identical input under one
@@ -17,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.linalg.lapack import dgeqp3
 
 from . import polybasis
@@ -83,12 +90,14 @@ def lu_row_pivot(A):
     unit-lower triangular solve and one GEMM; inside the panel each column
     takes its update from the panel's earlier columns (a triangular solve
     and a GEMV, Crout order) and is then pivoted: the current row with the
-    largest absolute entry wins, the earliest on ties, and the full rows
-    are swapped.  Column k is computed from columns 0..k only, and the
-    panel bounds do not depend on the column count, so the pivots of a
-    leading block of whole degrees are the leading pivots of the full
-    matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.
-    The factorization runs on one Fortran-ordered copy; A is not modified.
+    largest absolute entry wins, the earliest on ties.  Row swaps touch
+    only the columns reached so far; each panel gathers its rows into
+    pivot order when it starts.  Column k is computed from columns 0..k
+    only, and the panel bounds do not depend on the column count, so the
+    pivots of a leading block of whole degrees are the leading pivots of
+    the full matrix, bitwise: degree-(d-1) Leja points prefix degree-d
+    ones.  The factorization runs on one Fortran-ordered copy; A is not
+    modified.
     """
     LU = np.array(A, dtype=float, order="F")
     n_rows, n_cols = LU.shape
@@ -103,18 +112,26 @@ def lu_row_pivot(A):
     c0, d = 0, 0
     while c0 < n_cols:
         c1 = min(polybasis.basis_size(d), n_cols)
-        LU[:c0, c0:c1] = _unit_lower_solve(LU[:c0, :c0], LU[:c0, c0:c1])
-        LU[c0:, c0:c1] -= LU[c0:, :c0] @ LU[:c0, c0:c1]
+        LU[:, c0:c1] = LU[perm, c0:c1]
+        if c0:
+            # the products run on full-height column blocks, which BLAS
+            # takes without a copy; the top c0 rows then take U12 back
+            U12 = _unit_lower_solve(LU[:c0, :c0], LU[:c0, c0:c1])
+            _gemm(LU[:, :c0], U12, LU[:, c0:c1], alpha=-1.0, beta=1.0)
+            LU[:c0, c0:c1] = U12
+            del U12  # before the next panel's gather
         for k in range(c0, c1):
-            LU[c0:k, k] = _unit_lower_solve(LU[c0:k, c0:k], LU[c0:k, k])
-            LU[k:, k] -= LU[k:, c0:k] @ LU[c0:k, k]
+            if k > c0:
+                x = _unit_lower_solve(LU[c0:k, c0:k], LU[c0:k, k])
+                LU[k:, k] -= _gemm(LU[:, c0:k], x[:, None])[k:, 0]
+                LU[c0:k, k] = x
             col = np.abs(LU[k:, k])
             p = k + int(np.argmax(col))
             mags[k] = col[p - k]
             if mags[k] < tol_abs:
                 raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
             if p != k:
-                LU[[k, p]] = LU[[p, k]]
+                LU[[k, p], :c1] = LU[[p, k], :c1]
                 perm[k], perm[p] = perm[p], perm[k]
             LU[k + 1 :, k] /= LU[k, k]
         c0, d = c1, d + 1
@@ -124,6 +141,45 @@ def lu_row_pivot(A):
 def _unit_lower_solve(L, B):
     return scipy.linalg.solve_triangular(L, B, lower=True, unit_diagonal=True,
                                          check_finite=False)
+
+
+def _gemm(A, B, c=None, alpha=1.0, beta=0.0):
+    """alpha * A @ B + beta * c for 2-D float64 A (m, k) and B (k, n), by
+    scipy's BLAS; the one matrix product of the package.
+
+    With c=None the result is a new C-ordered (m, n) array (beta is then
+    moot).  A c that is C- or F-contiguous is written in place and
+    returned.  A C- or F-contiguous operand is handed to BLAS as it is,
+    with the transpose flag where its order asks for one; any other
+    operand is copied.  A single column (n = 1) goes to dgemv: dgemm
+    takes several times longer on one.  B = A.T, a view of A's memory,
+    goes to dsyrk, as numpy's matmul does: half the flops.
+    """
+    if c is not None and c.flags.f_contiguous and not c.flags.c_contiguous:
+        return _gemm(B.T, A.T, c.T, alpha, beta).T  # c^T = B^T A^T is C-ordered
+    if (c is None and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]
+            and B.ctypes.data == A.ctypes.data):
+        a, trans = _fortran(A)
+        C = dsyrk(alpha, a, trans=trans, lower=1)  # the upper triangle stays 0
+        C += np.tril(C, -1).T
+        return C.T
+    if B.shape[1] == 1 and B.shape[0]:
+        a, trans = _fortran(A)
+        y = dgemv(alpha, a, B[:, 0], beta, None if c is None else c[:, 0],
+                  trans=trans, overwrite_y=1)
+        return y[:, None]
+    # C-ordered c (m, n) is the F-ordered c^T (n, m) = B^T A^T of BLAS
+    (b, trans_b), (a, trans_a) = _fortran(B.T), _fortran(A.T)
+    return dgemm(alpha, b, a, beta, None if c is None else c.T, trans_b, trans_a,
+                 overwrite_c=1).T
+
+
+def _fortran(X):
+    # (Y, t) with X = Y if t == 0 else Y.T, Y Fortran-contiguous when X is
+    # C- or F-contiguous
+    if X.flags.c_contiguous and not X.flags.f_contiguous:
+        return X.T, 1
+    return X, 0
 
 
 def lu_factor_checked(A):
@@ -142,10 +198,12 @@ def lu_factor_checked(A):
 
 
 def cond_2(A):
-    """Spectral condition number (ratio of extremal singular values).
+    """Spectral condition number (ratio of extremal singular values), from
+    scipy's singular values; inf for a singular A.
 
     This is the quantity the reference result tables report for node
     Vandermonde matrices; `metrics` rows and `reproduce` tables still
     label it `cond_inf`.
     """
-    return float(np.linalg.cond(np.asarray(A, dtype=float)))
+    s = scipy.linalg.svdvals(np.asarray(A, dtype=float))
+    return float(s[0] / s[-1]) if s[-1] > 0.0 else np.inf

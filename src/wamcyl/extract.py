@@ -72,7 +72,8 @@ def precondition(mesh, n, steps):
     G = polybasis.gram(basis, mesh)
     try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
         P = dtrtri(scipy.linalg.cholesky(G))[0]
-        bound = np.finfo(float).eps * (np.abs(P).T @ np.sqrt(np.diag(G))).max() ** 2
+        col = densela._gemm(np.abs(P).T, np.sqrt(np.diag(G))[:, None])
+        bound = np.finfo(float).eps * col.max() ** 2
     except np.linalg.LinAlgError:  # G is not numerically positive definite
         bound = np.inf
     if not bound <= GRAM_BOUND:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import polybasis
+from . import densela, polybasis
 
 FAMILIES = ("wam1", "wam2")
 
@@ -193,7 +193,7 @@ def orbit_representatives(mesh, pts):
     # rotations by 2*pi*k/g, then reflections in the axes at pi*k/g, one
     # permutation at a time: least[i] is the least image of row i so far
     least, maps = np.arange(len(sets[1])), [rot[0]]
-    for G in [*rot[1:], *(rot @ np.diag([1.0, -1.0, 1.0]))]:
+    for G in [*rot[1:], *(rot * [1.0, -1.0, 1.0])]:
         perm = permutation(G)
         if perm is not None:
             np.minimum(least, perm, out=least)
@@ -202,7 +202,7 @@ def orbit_representatives(mesh, pts):
     perm = permutation(flip)
     if perm is not None:  # z -> -z commutes with every planar map
         np.minimum(least, least[perm], out=least)
-        maps = np.concatenate([maps, maps @ flip])
+        maps = np.concatenate([maps, maps * [1.0, 1.0, -1.0]])
     return Orbits(np.flatnonzero(least == np.arange(least.size)), maps)
 
 
@@ -230,7 +230,7 @@ def _maps_onto(layers, G):
     perm, matches = np.empty(sum(r.size for _, r in flat), dtype=np.intp), {}
     for (a, r), (b, image) in zip(flat, (flat[v] for v in partner)):
         if (a, b) not in matches:
-            matches[a, b] = _onto(layers[a][0] @ G[:2, :2].T, layers[b][0])
+            matches[a, b] = _onto(densela._gemm(layers[a][0], G[:2, :2].T), layers[b][0])
         if matches[a, b] is None:
             return None
         perm[r] = image[matches[a, b]]

@@ -15,7 +15,8 @@ finds among the points, as a ridge factor of xy times a z factor, with
 the column map of `_factor_index`.  `vandermonde` fills V one z layer at
 a time; `scan` (and `evaluate` through it) streams X b(x) one z layer at
 a time without building V, contracting the z factor first; `gram` sums
-small Kronecker products over the grids.
+small Kronecker products over the grids.  Their products go through
+`densela._gemm`.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import densela
 from .errors import DomainError
 
 DOMAIN_TOL = 1e-12
@@ -103,9 +105,11 @@ def scan(basis, X, mesh, reduce):
     of each tensor grid of the points of `mesh` (a Mesh or an (M, 3)
     array), rows the layer's indices into those points.
 
-    X is (K, N) with N = len(basis); only the reductions leave the
-    generator, so one layer's (K, xy) product is alive at a time.  Layers
-    come in grid order and cover every point exactly once.
+    X is (K, N) with N = len(basis).  Each grid's layers are written into
+    one (K, xy) buffer, so a reduction must not keep the array it is
+    handed: the next layer overwrites it.  Only the reductions leave the
+    generator.  Layers come in grid order and cover every point exactly
+    once.
 
     No Vandermonde is built: per layer, X is contracted with the z factors
     into Y (K, R) and the product is Y @ ridges, about 2*K*R*M flops in
@@ -116,10 +120,11 @@ def scan(basis, X, mesh, reduce):
     # ridge factors with k <= n - d: a prefix of all R of them
     parts = [np.ascontiguousarray(X[:, m == d].T) for d in range(basis.degree + 1)]
     for A, tz, rows in _grids(basis.degree, mesh):
+        # the transpose (xy, K) in C order: this orientation runs the
+        # product and the reductions over K fastest
+        out = np.empty((len(A), len(X)))
         for q, layer in enumerate(rows):
-            # formed as the transpose (xy, K): this orientation runs the
-            # product and the reductions over K fastest
-            yield reduce(layer, (A.T @ _contract_z(parts, tz[:, q])).T)
+            yield reduce(layer, densela._gemm(A, _contract_z(parts, tz[:, q]), out).T)
 
 
 def evaluate(basis, C, mesh):
@@ -141,7 +146,7 @@ def vandermonde(basis, mesh):
     r, m = _factor_index(basis)
     V = np.empty((len(getattr(mesh, "points", mesh)), len(basis)))
     for A, tz, rows in _grids(basis.degree, mesh):
-        AT = A.T[:, r]  # (xy, N): the ridge factor of each column on the grid
+        AT = A[:, r]  # (xy, N): the ridge factor of each column on the grid
         for q, layer in enumerate(rows):
             V[layer] = AT * tz[m, q]
     return V
@@ -154,7 +159,7 @@ def gram(basis, mesh):
     r, m = _factor_index(basis)
     G = np.zeros((len(basis), len(basis)))
     for A, tz, _ in _grids(basis.degree, mesh):
-        G += (A @ A.T)[np.ix_(r, r)] * (tz @ tz.T)[np.ix_(m, m)]
+        G += densela._gemm(A.T, A)[np.ix_(r, r)] * densela._gemm(tz, tz.T)[np.ix_(m, m)]
     return G
 
 
@@ -166,8 +171,9 @@ def _factor_index(basis):
 
 def _grids(n, mesh):
     # (ridges, tz, rows) per tensor grid of _slabs: ridges is the grid's
-    # (R, xy) slice of one evaluation of the R = (n+1)(n+2)/2 ridge factors
-    # on all grids, tz the (n+1, nz) z factors at its z nodes
+    # (xy, R) block of rows, C-contiguous, of one evaluation of the
+    # R = (n+1)(n+2)/2 ridge factors on all grids, tz the (n+1, nz) z
+    # factors at its z nodes
     pts = np.asarray(getattr(mesh, "points", mesh), dtype=float)
     _validate_points(pts)
     slabs = _slabs(pts)
@@ -177,7 +183,7 @@ def _grids(n, mesh):
     ridges = _ridge_factors(n, xy[:, 0], xy[:, 1])
     ends = np.cumsum([len(g[0]) for g in slabs])
     return [(A, _t_tilde_all(n, z), rows)
-            for (_, z, rows), A in zip(slabs, np.split(ridges, ends[:-1], axis=1))]
+            for (_, z, rows), A in zip(slabs, np.split(ridges, ends[:-1]))]
 
 
 def _slabs(pts):
@@ -206,10 +212,10 @@ def _contract_z(parts, tz):
 
 
 def _ridge_factors(n, x, y):
-    # (R, P) array of U_k(x cos t + y sin t), t = j*pi/(k+1), for
+    # (P, R) array of U_k(x cos t + y sin t), t = j*pi/(k+1), for
     # 0 <= j <= k <= n in ridge order (k, j)
-    out = np.empty(((n + 1) * (n + 2) // 2, len(x)))
+    out = np.empty((len(x), (n + 1) * (n + 2) // 2))
     for r, (k, j) in enumerate((k, j) for k in range(n + 1) for j in range(k + 1)):
         theta = j * np.pi / (k + 1)
-        out[r] = _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)
+        out[:, r] = _cheb_u_deg(k, np.cos(theta) * x + np.sin(theta) * y)
     return out

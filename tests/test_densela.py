@@ -1,11 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+from _reference import traced_peak
 
+import wamcyl
 from wamcyl import extract, meshgen
 from wamcyl.densela import (
     RANK_TOL,
     PivotRecord,
+    _gemm,
     cond_2,
     lu_factor_checked,
     lu_row_pivot,
@@ -238,3 +244,84 @@ def test_pivot_record_rejects_non_permutation():
     with pytest.raises(ValueError):
         PivotRecord(order=np.array([0, 0, 1]), magnitudes=np.ones(3))
 
+
+def _operands(order, m=70, k=40, n=30):
+    rng = np.random.default_rng(8)
+    A, B = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    if order == "F":
+        return np.asfortranarray(A), np.asfortranarray(B)
+    if order == "strided":
+        return rng.standard_normal((2 * m, k + 3))[::2, 3:], rng.standard_normal((k, 3 * n))[:, ::3]
+    if order == "column":
+        return A, B[:, :1].copy()
+    return A, B
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided", "column"])
+def test_gemm_matches_matmul(order):
+    A, B = _operands(order)
+    want = np.matmul(A, B)
+    for X, Y in [(A, B), (A, np.asfortranarray(B)), (np.asfortranarray(A), B)]:
+        got = _gemm(X, Y)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # B = A.T, a view of A, takes the symmetric path
+    gram, want_gram = _gemm(A, A.T), np.matmul(A, A.T)
+    np.testing.assert_array_equal(gram, gram.T)
+    assert np.abs(gram - want_gram).max() <= 1e-14 * np.abs(want_gram).max()
+    # a given c, C- or F-ordered, is written in place: alpha A B + beta c
+    for c in (np.ones(want.shape), np.ones(want.shape, order="F")):
+        assert np.shares_memory(_gemm(A, B, c, alpha=-1.0, beta=1.0), c)
+        assert np.abs(c - (1.0 - want)).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", ["C", "F", "column"])
+def test_gemm_copies_no_contiguous_operand(order):
+    A, B = _operands(order, m=4000, k=300, n=200)
+    out = A.shape[0] * B.shape[1] * 8
+    assert traced_peak(_gemm, A, B) <= 1.05 * out
+    assert traced_peak(_gemm, A, B, np.empty((len(A), B.shape[1]))) <= 0.05 * out
+
+
+def _numpy_blas(tree):
+    """(line, text) of each product in the tree that would run in numpy's
+    BLAS: @, a .dot, .matmul, .inner, .vdot or .tensordot call, and any
+    np.linalg attribute but the LinAlgError class."""
+    products = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in products:
+            yield node.lineno, ast.unparse(node.func)
+        elif (isinstance(node, ast.Attribute) and node.attr != "LinAlgError"
+              and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_numpy_blas_finder():
+    src = """
+C = A @ B
+C @= A
+x = np.dot(a, b) + a.dot(b) + np.tensordot(a, b)
+c = np.linalg.cond(A)
+try:
+    pass
+except np.linalg.LinAlgError:
+    pass
+@dataclass
+class C: pass
+"""
+    assert sorted(line for line, _ in _numpy_blas(ast.parse(src))) == [2, 3, 4, 4, 4, 5]
+
+
+def test_products_run_in_scipys_blas_only():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool;
+    # every product of the package goes through densela._gemm (scipy's),
+    # so numpy's pool never wakes to compete for the cores.  Allowed:
+    # np.linalg.LinAlgError (an exception class), and
+    # np.polynomial.legendre.leggauss in cubature, which calls numpy's
+    # eigvalsh for the oracle's Gauss-Legendre nodes at small levels.
+    found = [f"{path.name}:{line}: {text}"
+             for path in sorted(Path(wamcyl.__file__).parent.glob("*.py"))
+             for line, text in _numpy_blas(ast.parse(path.read_text()))]
+    assert found == []

@@ -95,7 +95,8 @@ def test_select_nodes_rejects_unknown_method():
 
 def test_selection_holds_at_most_one_working_copy():
     # DLP factors one Fortran-ordered copy of U; its largest temporary is
-    # the GEMM block of the last degree panel (66 of 286 columns, 19% of U).
+    # the last degree panel gathered into pivot order (66 of 286 columns,
+    # 23% of U).
     # AFP factors an owned C-ordered U in its own memory and allocates only
     # the workspace dgeqp3 asks for.  An |LU| temporary or a copy of U
     # would add one more U.nbytes to either.
