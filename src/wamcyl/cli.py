@@ -77,7 +77,7 @@ def cmd_gen(args):
 def cmd_extract(args):
     n = _single_degree(args)
     run = DegreeRun(args.mesh, n, args.method, args.ortho_steps)
-    sel = run.selection
+    sel = run.select()  # no projector: the selection owns its U
     path = fileio.write_extraction_csv(Path(args.out) / f"{args.mesh}{n}_{args.method}.csv", sel)
     print(f"{args.method} degree {sel.degree} from {run.mesh.family}: {sel.count} nodes -> {path}")
     return 0
@@ -86,10 +86,11 @@ def cmd_extract(args):
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
     most once.  Node selection uses the projector's iterate U = V P when
-    both take approx.LSQ_STEPS steps, copied for AFP, which overwrites it;
-    otherwise it preconditions on its own, and that U is freed once the
-    nodes are chosen.  The selection holds the one LU of its node
-    Vandermonde."""
+    both take approx.LSQ_STEPS steps, through one copy in the memory
+    order its factorization overwrites; otherwise it selects through
+    extract.select_afp or select_dlp, whose own U is the only M x N array
+    it holds and is freed once the nodes are chosen.  The selection holds
+    the one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0):
         self.family, self.degree, self.method = family, degree, method
@@ -104,12 +105,16 @@ class DegreeRun:
     def projector(self):
         return approx.build_lsq(self.mesh, self.degree)
 
+    def select(self):
+        """A fresh selection from a U of its own, never the projector's."""
+        select = {"afp": extract.select_afp, "dlp": extract.select_dlp}[self.method]
+        return select(self.mesh, self.degree, self.ortho_steps)
+
     @cached_property
     def selection(self):
-        if self.ortho_steps == approx.LSQ_STEPS:
-            U = self.projector.q.copy() if self.method == "afp" else self.projector.q
-        else:
-            U = extract.precondition(self.mesh, self.degree, self.ortho_steps)[1]
+        if self.ortho_steps != approx.LSQ_STEPS:
+            return self.select()
+        U = np.array(self.projector.q, order="C" if self.method == "afp" else "F")
         return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)
 
     @cached_property

@@ -13,7 +13,8 @@ LAPACK (dgeqp3, which also breaks norm ties toward the first index) and
 runs in the memory of a Fortran-ordered input.  Row-pivoted LU is
 left-looking over the degree panels of the graded basis: one triangular
 solve and one GEMM per panel, then column-by-column elimination inside
-it.  A panel's operations depend only on the row count and its degree,
+it, on a Fortran-ordered copy or, where the caller opts in with
+overwrite_a=True, in the input's own memory.  A panel's operations depend only on the row count and its degree,
 so pivot choices on a leading block of whole degrees are bitwise
 independent of any trailing columns.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv, dsyrk
-from scipy.linalg.lapack import dgeqp3
+from scipy.linalg.lapack import dgeqp3, dtrtrs
 
 from . import polybasis
 from .errors import RankDeficiencyError, SingularMatrixError
@@ -81,7 +82,7 @@ def _scale(A):
     return scale
 
 
-def lu_row_pivot(A):
+def lu_row_pivot(A, overwrite_a=False):
     """Row permutation from Gaussian elimination with partial pivoting.
 
     Left-looking LU over graded degree panels: panel d holds the columns
@@ -96,10 +97,16 @@ def lu_row_pivot(A):
     only, and the panel bounds do not depend on the column count, so the
     pivots of a leading block of whole degrees are the leading pivots of
     the full matrix, bitwise: degree-(d-1) Leja points prefix degree-d
-    ones.  The factorization runs on one Fortran-ordered copy; A is not
-    modified.
+    ones.  The factorization runs on one Fortran-ordered copy, and A is
+    not modified, unless overwrite_a=True: then a writeable
+    Fortran-contiguous float64 A is factored in its own memory and
+    overwritten (any other A is still copied).  The arithmetic is the same
+    either way.
     """
-    LU = np.array(A, dtype=float, order="F")
+    if overwrite_a:
+        LU = np.require(A, dtype=float, requirements=["F", "W"])
+    else:
+        LU = np.array(A, dtype=float, order="F")
     n_rows, n_cols = LU.shape
     if n_rows < n_cols:
         raise ValueError("need at least as many rows as columns")
@@ -139,8 +146,12 @@ def lu_row_pivot(A):
 
 
 def _unit_lower_solve(L, B):
-    return scipy.linalg.solve_triangular(L, B, lower=True, unit_diagonal=True,
-                                         check_finite=False)
+    # L^-1 B for unit lower triangular L, by LAPACK dtrtrs with the
+    # arguments scipy.linalg.solve_triangular(L, B, lower=True,
+    # unit_diagonal=True, check_finite=False) passes it, without its checks
+    if L.flags.f_contiguous:
+        return dtrtrs(L, B, lower=1, unitdiag=1)[0]
+    return dtrtrs(L.T, B, lower=0, trans=1, unitdiag=1)[0]
 
 
 def _gemm(A, B, c=None, alpha=1.0, beta=0.0):

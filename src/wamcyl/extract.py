@@ -51,16 +51,18 @@ class ExtractionResult:
 GRAM_BOUND = 1e-11
 
 
-def precondition(mesh, n, steps):
+def precondition(mesh, n, steps, order="C"):
     """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
     of the mesh, U = V P, shared by node selection and least squares.  For
     steps = 0 this is (None, V): P is the identity and is not formed.
     Otherwise P comes from Cholesky steps on G = V^T V (polybasis.gram) and
-    U from one grid scan, without V.  Raises ValueError for negative steps
-    or a mesh with fewer points than basis elements, before anything is
-    built, and RankDeficiencyError where G is not numerically positive
-    definite or the CholeskyQR error bound
-    eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
+    U from one grid scan, without V; G and the step temporaries are freed
+    before U is formed.  U is C-ordered or, for order="F", Fortran-ordered:
+    the order select_nodes factors in place for AFP and DLP respectively.
+    Raises ValueError for negative steps or a mesh with fewer points than
+    basis elements, before anything is built, and RankDeficiencyError
+    where G is not numerically positive definite or the CholeskyQR error
+    bound eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
     if steps < 0:
         raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
     m, N = len(getattr(mesh, "points", mesh)), polybasis.basis_size(n)
@@ -68,8 +70,14 @@ def precondition(mesh, n, steps):
         raise ValueError(f"mesh of {m} points cannot support {N} basis elements")
     basis = polybasis.enumerate_basis(n)
     if steps == 0:
-        return None, polybasis.vandermonde(basis, mesh)
-    G = polybasis.gram(basis, mesh)
+        return None, polybasis.vandermonde(basis, mesh, order)
+    P = _cholesky_steps(polybasis.gram(basis, mesh), n, steps)
+    return P, polybasis.evaluate(basis, P, mesh, order)
+
+
+def _cholesky_steps(G, n, steps):
+    # P after `steps` Cholesky steps on the Gram matrix G, checked against
+    # GRAM_BOUND; G and every temporary die with this frame
     try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
         P = dtrtri(scipy.linalg.cholesky(G))[0]
         col = densela._gemm(np.abs(P).T, np.sqrt(np.diag(G))[:, None])
@@ -82,21 +90,22 @@ def precondition(mesh, n, steps):
     for _ in range(steps - 1):
         W = trmm(1.0, P, trmm(1.0, P, G, side=1), trans_a=1)  # P^T G P
         P = trmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
-    return P, polybasis.evaluate(basis, P, mesh)
+    return P
 
 
 def select_nodes(mesh, n, method, U, ortho_steps):
     """Degree-n nodes from the rows of U, the preconditioned Vandermonde of
     the mesh, in greedy selection order: column-pivoted QR of U^T for
     'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'.
-    Raises ValueError for any other method.  'afp' overwrites a C-ordered
-    U (the QR runs in its memory), so pass one that no caller reads again;
-    'dlp' leaves U untouched."""
+    Raises ValueError for any other method.  U is consumed: the
+    factorization runs in its memory where its order allows, C order for
+    'afp' and Fortran order for 'dlp', and overwrites it (any other U is
+    copied once), so pass one that no caller reads again."""
     N = U.shape[1]
     if method == "afp":
         rec = densela.qr_col_pivot(U.T)
     elif method == "dlp":
-        rec = densela.lu_row_pivot(U)
+        rec = densela.lu_row_pivot(U, overwrite_a=True)
     else:
         raise ValueError(f"unknown extraction method {method!r}; expected 'afp' or 'dlp'")
     idx = np.array(rec.order[:N])
@@ -105,10 +114,13 @@ def select_nodes(mesh, n, method, U, ortho_steps):
 
 
 def select_afp(mesh, n, ortho_steps=2):
-    """Approximate Fekete points of degree n extracted from the mesh."""
+    """Approximate Fekete points of degree n extracted from the mesh, from a
+    C-ordered U that the QR overwrites."""
     return select_nodes(mesh, n, "afp", precondition(mesh, n, ortho_steps)[1], ortho_steps)
 
 
 def select_dlp(mesh, n, ortho_steps=2):
-    """Discrete Leja points of degree n extracted from the mesh."""
-    return select_nodes(mesh, n, "dlp", precondition(mesh, n, ortho_steps)[1], ortho_steps)
+    """Discrete Leja points of degree n extracted from the mesh, from a
+    Fortran-ordered U that the LU overwrites."""
+    U = precondition(mesh, n, ortho_steps, order="F")[1]
+    return select_nodes(mesh, n, "dlp", U, ortho_steps)

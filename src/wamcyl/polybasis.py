@@ -13,9 +13,10 @@ polynomials of total degree <= m for every m <= n.
 Every basis value is evaluated on the tensor grids xy x z that `_grids`
 finds among the points, as a ridge factor of xy times a z factor, with
 the column map of `_factor_index`.  `vandermonde` fills V one z layer at
-a time; `scan` (and `evaluate` through it) streams X b(x) one z layer at
-a time without building V, contracting the z factor first; `gram` sums
-small Kronecker products over the grids.  Their products go through
+a time (a large grid in Fortran order one column at a time); `scan` (and
+`evaluate` through it) streams X b(x) one z layer at a time without
+building V, contracting the z factor first; `gram` sums small Kronecker
+products over the grids.  Their products go through
 `densela._gemm`.
 """
 
@@ -127,28 +128,41 @@ def scan(basis, X, mesh, reduce):
             yield reduce(layer, densela._gemm(A, _contract_z(parts, tz[:, q]), out).T)
 
 
-def evaluate(basis, C, mesh):
-    """vandermonde(basis, mesh) @ C for C of shape (N, K), by one scan."""
-    out = np.empty((len(getattr(mesh, "points", mesh)), C.shape[1]))
+def evaluate(basis, C, mesh, order="C"):
+    """vandermonde(basis, mesh) @ C for C of shape (N, K), by one scan, in
+    C order or, for order="F", in Fortran order."""
+    out = np.empty((len(getattr(mesh, "points", mesh)), C.shape[1]), order=order)
     for rows, R in scan(basis, C.T, mesh, lambda rows, R: (rows, R)):
-        out[rows] = R.T  # scattered to point order
+        # scattered to point order, one contiguous K-row of the layer
+        # buffer per point: a row of out in C order, a column of out.T in F
+        out.T[:, rows] = R
     return out
 
 
-def vandermonde(basis, mesh):
-    """Dense (M, N) matrix of basis values at the mesh points.
+def vandermonde(basis, mesh, order="C"):
+    """Dense (M, N) matrix of basis values at the mesh points, in C order
+    or, for order="F", in Fortran order.
 
     Row r, column c holds basis.indices[c] evaluated at point r; row order
     follows the mesh, column order the graded basis.  `mesh` may be a Mesh
-    or a plain (M, 3) array.  Filled one z layer of each tensor grid at a
-    time: the rows of layer q are ridges[r].T * tz[m, q].
+    or a plain (M, 3) array.  Each tensor grid is filled one z layer at a
+    time, the rows of layer q being ridges[r].T * tz[m, q], except that in
+    Fortran order a grid of at least N points is filled along V's
+    contiguous axis, one column at a time: column c is tz[m[c]] times
+    ridges[:, r[c]] over all its layers.  The entries are the same
+    products either way.
     """
     r, m = _factor_index(basis)
-    V = np.empty((len(getattr(mesh, "points", mesh)), len(basis)))
+    V = np.empty((len(getattr(mesh, "points", mesh)), len(basis)), order=order)
     for A, tz, rows in _grids(basis.degree, mesh):
-        AT = A[:, r]  # (xy, N): the ridge factor of each column on the grid
-        for q, layer in enumerate(rows):
-            V[layer] = AT * tz[m, q]
+        if order == "F" and len(A) * len(rows) >= len(basis):
+            grid, AT = np.concatenate(rows), A.T.copy()  # grid rows, layer by layer
+            for c, (rc, mc) in enumerate(zip(r, m)):
+                V[:, c][grid] = np.multiply.outer(tz[mc], AT[rc]).ravel()
+        else:
+            AT = A[:, r]  # (xy, N): the ridge factor of each column on the grid
+            for q, layer in enumerate(rows):
+                V[layer] = AT * tz[m, q]
     return V
 
 

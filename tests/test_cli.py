@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import traced_peak
 
 import wamcyl
 from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
@@ -50,8 +51,8 @@ def test_extract_degree0(tmp_path):
 @pytest.mark.parametrize("method", ["afp", "dlp"])
 @pytest.mark.parametrize("family,n", [("wam1", 0), ("wam2", 0), ("wam1", 4), ("wam2", 4)])
 def test_extract_writes_the_library_selection(tmp_path, family, n, method):
-    # the command selects through its DegreeRun; the files are those of the
-    # library call on the degree max(n, 1) mesh
+    # the command selects through select_afp or select_dlp; the files are
+    # those of the library call on the degree max(n, 1) mesh
     assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
                  "--out", str(tmp_path / "cli")]) == 0
     select = extract.select_afp if method == "afp" else extract.select_dlp
@@ -198,6 +199,42 @@ def test_afp_selection_leaves_the_shared_projector_intact(tmp_path, family):
     assert got["lsq_norm"] == approx.lsq_norm(proj, meshgen.control_mesh(family, 5))
 
 
+@pytest.mark.parametrize("steps", [0, approx.LSQ_STEPS])
+@pytest.mark.parametrize("method", ["afp", "dlp"])
+def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
+    # `extract` builds no projector and copies no U: AFP factors a C-ordered
+    # U and DLP a Fortran-ordered one, each in its own memory, so beside U
+    # there are only the panel temporaries or the QR workspace, and at 2
+    # steps the N x N transform P and the scan's z-grouped copy of it,
+    # alive with U while the scan forms U
+    n = 10
+    P, U = extract.precondition(meshgen.wam1(n), n, steps)
+    bound = 1.5 * U.nbytes + (0 if P is None else P.nbytes)
+    argv = ["extract", "--mesh", "wam1", "--degree", str(n), "--method", method,
+            "--ortho-steps", str(steps), "--out", str(tmp_path)]
+    assert traced_peak(main, argv) < bound
+    assert (tmp_path / f"wam1{n}_{method}.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["afp", "dlp"])
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_extract_selects_the_nodes_of_the_shared_projector(tmp_path, family, method):
+    # at approx.LSQ_STEPS steps `extract` preconditions on its own, while
+    # `metrics` and `errors` select from a copy of the projector's q in the
+    # order the factorization overwrites: the same U bytes, so the same
+    # nodes, and q is left intact
+    n = 10
+    assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
+                 "--ortho-steps", str(approx.LSQ_STEPS), "--out", str(tmp_path / "cli")]) == 0
+    run = DegreeRun(family, n, method, approx.LSQ_STEPS)
+    q = run.projector.q.tobytes()
+    (tmp_path / "shared").mkdir()
+    name = f"{family}{n}_{method}.csv"
+    fileio.write_extraction_csv(tmp_path / "shared" / name, run.selection)
+    assert run.projector.q.tobytes() == q
+    assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
+
+
 def _blake(pts):
     pts = np.asarray(getattr(pts, "points", pts))
     return hashlib.blake2b(pts.tobytes(), digest_size=16).hexdigest()
@@ -292,11 +329,11 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("stage built for a table that does not use it")
 
-    def no_lsq(mesh, n, steps):
+    def no_lsq(mesh, n, steps, **order):
         # tables 1-4 extract with zero steps; only a projector orthogonalizes
         if steps:
             forbidden()
-        return precondition(mesh, n, steps)
+        return precondition(mesh, n, steps, **order)
 
     with monkeypatch.context() as m:
         m.setattr(extract, "precondition", no_lsq)

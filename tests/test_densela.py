@@ -7,7 +7,7 @@ import scipy.linalg
 from _reference import traced_peak
 
 import wamcyl
-from wamcyl import extract, meshgen
+from wamcyl import densela, extract, meshgen
 from wamcyl.densela import (
     RANK_TOL,
     PivotRecord,
@@ -177,6 +177,65 @@ def test_lu_singularity_in_a_later_panel():
 def test_lu_requires_tall_matrix():
     with pytest.raises(ValueError):
         lu_row_pivot(np.ones((2, 3)))
+
+
+def _owned_u(family, n, steps):
+    # a Fortran-ordered U, as select_dlp factors it
+    return extract.precondition(meshgen.generate_mesh(family, n), n, steps, order="F")[1]
+
+
+def test_lu_overwrite_a_factors_an_owned_fortran_array_in_place():
+    # the opt-in runs the same arithmetic in A's own memory: the same
+    # PivotRecord bytes as the copying call, and no allocation but the
+    # panel temporaries (the last degree panel's gather, 66 of 286
+    # columns, is the largest)
+    A = _owned_u("wam1", 10, 0)
+    want = lu_row_pivot(A)
+    before, got = A.copy(order="F"), []
+    peak = traced_peak(lambda: got.append(lu_row_pivot(A, overwrite_a=True)))
+    assert got[0].order.tobytes() == want.order.tobytes()
+    assert got[0].magnitudes.tobytes() == want.magnitudes.tobytes()
+    assert peak < 0.3 * A.nbytes
+    assert not np.array_equal(A, before)  # factored where it lies
+
+
+def test_lu_leaves_its_input_unchanged_by_default():
+    # without the opt-in every input is copied, a Fortran-ordered one and an
+    # (m, 1) C array (also Fortran-contiguous) included; with it, an input
+    # that cannot be factored in place is still copied
+    rng = np.random.default_rng(9)
+    read_only = np.asfortranarray(rng.standard_normal((40, 12)))
+    read_only.flags.writeable = False
+    c_ordered, strided = rng.standard_normal((40, 12)), rng.standard_normal((80, 30))[::2, 3:15]
+    for A in (c_ordered, np.asfortranarray(rng.standard_normal((40, 12))),
+              rng.standard_normal((40, 1)), strided, read_only):
+        before = A.copy()
+        rec = lu_row_pivot(A)
+        np.testing.assert_array_equal(A, before)
+        assert rec.order.tobytes() == lu_row_pivot(np.asfortranarray(A)).order.tobytes()
+    for A in (c_ordered, strided, read_only):
+        before = A.copy()
+        lu_row_pivot(A, overwrite_a=True)
+        np.testing.assert_array_equal(A, before)
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_direct_triangular_solves_pivot_as_solve_triangular(monkeypatch, family, steps):
+    # _unit_lower_solve calls dtrtrs with the arguments that
+    # scipy.linalg.solve_triangular passes it; with the wrapper put back
+    # the pivots and their magnitudes are the same bytes
+    U = _owned_u(family, 10, steps)
+    direct = lu_row_pivot(U)
+
+    def wrapper(L, B):
+        return scipy.linalg.solve_triangular(L, B, lower=True, unit_diagonal=True,
+                                             check_finite=False)
+
+    monkeypatch.setattr(densela, "_unit_lower_solve", wrapper)
+    wrapped = lu_row_pivot(U)
+    assert direct.order.tobytes() == wrapped.order.tobytes()
+    assert direct.magnitudes.tobytes() == wrapped.magnitudes.tobytes()
 
 
 def _lu_solve(A, B):

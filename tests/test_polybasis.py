@@ -170,6 +170,27 @@ def test_vandermonde_rows_follow_the_points():
     assert vandermonde(basis, np.empty((0, 3))).shape == (0, len(basis))
 
 
+@pytest.mark.parametrize("points", ["wam1", "wam2", "mixed"])
+def test_fortran_order_fill_gives_the_same_bytes(points):
+    # order="F" fills column by column (vandermonde) or scatters each z
+    # layer into the columns of out.T (evaluate); every entry is the same
+    # product or GEMM result as in C order
+    n = 6
+    basis = enumerate_basis(n)
+    rng = np.random.default_rng(22)
+    if points == "mixed":
+        r, t = np.sqrt(rng.uniform(0, 1, 200)), rng.uniform(0, 2 * np.pi, 200)
+        pts = np.concatenate([meshgen.wam2(n).points, np.column_stack(
+            [r * np.cos(t), r * np.sin(t), rng.uniform(-1, 1, 200)])])
+    else:
+        pts = meshgen.generate_mesh(points, n).points
+    C = rng.standard_normal((len(basis), 9))
+    for build, args in ((vandermonde, (basis, pts)), (polybasis.evaluate, (basis, C, pts))):
+        want, got = build(*args), build(*args, order="F")
+        assert want.flags.c_contiguous and got.flags.f_contiguous
+        assert got.tobytes(order="C") == want.tobytes()
+
+
 def _gram_reference(n):
     # independent exact quadrature for the weighted inner product:
     # trapezoid angles x Gauss-Legendre radius (with polar jacobian) x

@@ -38,7 +38,8 @@ def test_tracer_runs_cli_commands(tmp_path):
     assert not [s[2] for s in tracer.spans if s[5]]
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["cli.calls"] > 0 and metrics["approx.lebesgue_constant.self_s"] > 0
-    assert spans.cells(tracer.spans)
+    # `extract` selects through select_dlp, whose spans key the cells
+    assert "dlp wam2:3" in spans.cells(tracer.spans)
 
 
 def test_tracer_records_the_metrics_norm_spans(tmp_path):
