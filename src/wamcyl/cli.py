@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import approx, cubature, densela, extract, fileio, meshgen, testfns
+from . import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
 from .errors import WamcylError
 
 METHOD_CHOICES = ("afp", "dlp")
@@ -85,12 +85,12 @@ def cmd_extract(args):
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  Node selection uses the projector's iterate U = V P when
-    both take approx.LSQ_STEPS steps, through one copy in the memory
-    order its factorization overwrites; otherwise it selects through
-    extract.select_afp or select_dlp, whose own U is the only M x N array
-    it holds and is freed once the nodes are chosen.  The selection holds
-    the one LU of its node Vandermonde."""
+    most once.  When selection and projector both take approx.LSQ_STEPS
+    steps, the selection forms its own U = V P from the projector's P, in
+    the memory order its factorization overwrites; otherwise it selects
+    through extract.select_afp or select_dlp.  Either way U is the only
+    M x N array it holds, and is freed once the nodes are chosen.  The
+    selection holds the one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0):
         self.family, self.degree, self.method = family, degree, method
@@ -106,7 +106,8 @@ class DegreeRun:
         return approx.build_lsq(self.mesh, self.degree)
 
     def select(self):
-        """A fresh selection from a U of its own, never the projector's."""
+        """A fresh selection that preconditions on its own, without the
+        projector's P."""
         select = {"afp": extract.select_afp, "dlp": extract.select_dlp}[self.method]
         return select(self.mesh, self.degree, self.ortho_steps)
 
@@ -114,7 +115,8 @@ class DegreeRun:
     def selection(self):
         if self.ortho_steps != approx.LSQ_STEPS:
             return self.select()
-        U = np.array(self.projector.q, order="C" if self.method == "afp" else "F")
+        U = polybasis.evaluate(polybasis.enumerate_basis(self.degree), self.projector.transform,
+                               self.mesh, "C" if self.method == "afp" else "F")
         return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)
 
     @cached_property

@@ -51,27 +51,35 @@ class ExtractionResult:
 GRAM_BOUND = 1e-11
 
 
-def precondition(mesh, n, steps, order="C"):
-    """(P, U): `steps` orthogonalization steps of the degree-n Vandermonde V
-    of the mesh, U = V P, shared by node selection and least squares.  For
-    steps = 0 this is (None, V): P is the identity and is not formed.
-    Otherwise P comes from Cholesky steps on G = V^T V (polybasis.gram) and
-    U from one grid scan, without V; G and the step temporaries are freed
-    before U is formed.  U is C-ordered or, for order="F", Fortran-ordered:
-    the order select_nodes factors in place for AFP and DLP respectively.
-    Raises ValueError for negative steps or a mesh with fewer points than
-    basis elements, before anything is built, and RankDeficiencyError
-    where G is not numerically positive definite or the CholeskyQR error
-    bound eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
+def transform(mesh, n, steps):
+    """P of `steps` orthogonalization steps of the degree-n Vandermonde V of
+    the mesh, U = V P mesh-discretely orthonormal; None for steps = 0,
+    where P is the identity and is not formed.  P comes from Cholesky
+    steps on G = V^T V (polybasis.gram), without V; G and the step
+    temporaries are freed before it is returned.  Raises ValueError for
+    negative steps or a mesh with fewer points than basis elements, before
+    anything is built, and RankDeficiencyError where G is not numerically
+    positive definite or the CholeskyQR error bound
+    eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
     if steps < 0:
         raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
     m, N = len(getattr(mesh, "points", mesh)), polybasis.basis_size(n)
     if m < N:
         raise ValueError(f"mesh of {m} points cannot support {N} basis elements")
-    basis = polybasis.enumerate_basis(n)
     if steps == 0:
+        return None
+    return _cholesky_steps(polybasis.gram(polybasis.enumerate_basis(n), mesh), n, steps)
+
+
+def precondition(mesh, n, steps, order="C"):
+    """(P, U): P = transform(mesh, n, steps), with its checks, and
+    U = V P, the iterate node selection factors; (None, V) for steps = 0.
+    U comes from one grid scan, without V, once P is formed, and is
+    C-ordered or, for order="F", Fortran-ordered: the order select_nodes
+    factors in place for AFP and DLP respectively."""
+    P, basis = transform(mesh, n, steps), polybasis.enumerate_basis(n)
+    if P is None:
         return None, polybasis.vandermonde(basis, mesh, order)
-    P = _cholesky_steps(polybasis.gram(basis, mesh), n, steps)
     return P, polybasis.evaluate(basis, P, mesh, order)
 
 

@@ -15,9 +15,9 @@ finds among the points, as a ridge factor of xy times a z factor, with
 the column map of `_factor_index`.  `vandermonde` fills V one z layer at
 a time (a large grid in Fortran order one column at a time); `scan` (and
 `evaluate` through it) streams X b(x) one z layer at a time without
-building V, contracting the z factor first; `gram` sums small Kronecker
-products over the grids.  Their products go through
-`densela._gemm`.
+building V, from X's z blocks (`z_blocks`), contracting the z factor
+first; `gram` sums small Kronecker products over the grids.  Their
+products go through `densela._gemm`.
 """
 
 from dataclasses import dataclass
@@ -101,38 +101,45 @@ def _validate_points(pts):
         raise DomainError(f"point {pts[bad[0]]} (row {bad[0]}) outside the cylinder")
 
 
-def scan(basis, X, mesh, reduce):
+def z_blocks(basis, C):
+    """The rows of C (N, K) of each z degree d, in graded order: the
+    (R_d, K) blocks that `scan` contracts, each a C-ordered copy."""
+    # rows of z degree d in graded order are in ridge order (k, j), the
+    # R_d ridge factors with k <= n - d: a prefix of all R of them
+    _, m = _factor_index(basis)
+    return [np.ascontiguousarray(C[m == d]) for d in range(basis.degree + 1)]
+
+
+def scan(basis, blocks, mesh, reduce):
     """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per z layer
     of each tensor grid of the points of `mesh` (a Mesh or an (M, 3)
     array), rows the layer's indices into those points.
 
-    X is (K, N) with N = len(basis).  Each grid's layers are written into
-    one (K, xy) buffer, so a reduction must not keep the array it is
-    handed: the next layer overwrites it.  Only the reductions leave the
-    generator.  Layers come in grid order and cover every point exactly
-    once.
+    X is (K, N) with N = len(basis), given as its z blocks: blocks[d] is
+    the (R_d, K) array X[:, m == d].T of the columns of z degree d, as
+    z_blocks(basis, X.T) makes them, or as a caller forms them without X.
+    Each grid's layers are written into one (K, xy) buffer, so a
+    reduction must not keep the array it is handed: the next layer
+    overwrites it.  Only the reductions leave the generator.  Layers come
+    in grid order and cover every point exactly once.
 
-    No Vandermonde is built: per layer, X is contracted with the z factors
-    into Y (K, R) and the product is Y @ ridges, about 2*K*R*M flops in
-    place of 2*K*N*M (sum factorization).
+    No Vandermonde is built: per layer, the blocks are contracted with the
+    z factors into Y (K, R) and the product is Y @ ridges, about 2*K*R*M
+    flops in place of 2*K*N*M (sum factorization).
     """
-    _, m = _factor_index(basis)
-    # columns of z degree d in graded order are in ridge order (k, j), the
-    # ridge factors with k <= n - d: a prefix of all R of them
-    parts = [np.ascontiguousarray(X[:, m == d].T) for d in range(basis.degree + 1)]
     for A, tz, rows in _grids(basis.degree, mesh):
         # the transpose (xy, K) in C order: this orientation runs the
         # product and the reductions over K fastest
-        out = np.empty((len(A), len(X)))
+        out = np.empty((len(A), blocks[0].shape[1]))
         for q, layer in enumerate(rows):
-            yield reduce(layer, densela._gemm(A, _contract_z(parts, tz[:, q]), out).T)
+            yield reduce(layer, densela._gemm(A, _contract_z(blocks, tz[:, q]), out).T)
 
 
 def evaluate(basis, C, mesh, order="C"):
     """vandermonde(basis, mesh) @ C for C of shape (N, K), by one scan, in
     C order or, for order="F", in Fortran order."""
     out = np.empty((len(getattr(mesh, "points", mesh)), C.shape[1]), order=order)
-    for rows, R in scan(basis, C.T, mesh, lambda rows, R: (rows, R)):
+    for rows, R in scan(basis, z_blocks(basis, C), mesh, lambda rows, R: (rows, R)):
         # scattered to point order, one contiguous K-row of the layer
         # buffer per point: a row of out in C order, a column of out.T in F
         out.T[:, rows] = R
@@ -216,12 +223,12 @@ def _slabs(pts):
     return [(xy, np.array(z), rows) for xy, z, rows in grids.values()]
 
 
-def _contract_z(parts, tz):
+def _contract_z(blocks, tz):
     # Y^T (R, K) = sum over d of tz[d] * X[:, m == d]^T, each term landing
     # on a contiguous prefix of rows; tz[0] = 1
-    YT = parts[0].copy()
-    for d in range(1, len(parts)):
-        YT[: parts[d].shape[0]] += tz[d] * parts[d]
+    YT = blocks[0].copy()
+    for d in range(1, len(blocks)):
+        YT[: blocks[d].shape[0]] += tz[d] * blocks[d]
     return YT
 
 

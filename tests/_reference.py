@@ -1,6 +1,6 @@
 """Test-local references: scalar evaluators of the basis, the WAM-ratio
-monitor, the exact product rule of the cubature oracle, and a gauge of the
-memory a call allocates.
+monitor, the dense least-squares matrix, the exact product rule of the
+cubature oracle, and a gauge of the memory a call allocates.
 
 None of these is called by the library.  The tests compare the library's
 vectorized code against them, or use them to check a claim of the paper.
@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from wamcyl import meshgen, polybasis
+from wamcyl import densela, meshgen, polybasis
 from wamcyl.cubature import _rules_1d
 from wamcyl.errors import DomainError
 
@@ -86,8 +86,15 @@ def empirical_wam_ratio(family, n, num_polys=100, seed=0, control=None):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(basis), num_polys))
     sup_mesh = np.abs(polybasis.vandermonde(basis, mesh) @ coeffs).max(axis=0)
-    sups = polybasis.scan(basis, coeffs.T, control, lambda _, R: np.abs(R, out=R).max(axis=1))
+    sups = polybasis.scan(basis, polybasis.z_blocks(basis, coeffs), control,
+                          lambda _, R: np.abs(R, out=R).max(axis=1))
     return np.max(list(sups), axis=0) / sup_mesh
+
+
+def lsq_matrix(proj):
+    """(M, N) matrix Q P^T of a least-squares projector, which maps b(x) to
+    the weights of the mesh samples in the fit at x, formed whole."""
+    return densela._gemm(proj.q, proj.transform.T)
 
 
 def product_rule(level):

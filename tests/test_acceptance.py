@@ -35,7 +35,8 @@ def _sup_errors_on_control(n, control, coeff_pairs):
     """Per-column sup|V (a - b)| and sup|V b| over the control mesh."""
     basis = polybasis.enumerate_basis(n)
     X = np.vstack([[a - b for a, b in coeff_pairs], [b for _, b in coeff_pairs]])
-    sups = polybasis.scan(basis, X, control, lambda _, R: np.abs(R, out=R).max(axis=1))
+    sups = polybasis.scan(basis, polybasis.z_blocks(basis, X.T), control,
+                          lambda _, R: np.abs(R, out=R).max(axis=1))
     return np.split(np.max(list(sups), axis=0), 2)
 
 

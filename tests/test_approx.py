@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from _reference import empirical_wam_ratio, traced_peak
+from _reference import empirical_wam_ratio, lsq_matrix, traced_peak
 from scipy.spatial import cKDTree
 
 from wamcyl import approx, densela, extract, meshgen, polybasis
@@ -30,6 +30,16 @@ def _dense_scan(basis, X, mesh, reduce):
     for lo in range(0, len(pts), 8192):
         rows = np.arange(lo, min(lo + 8192, len(pts)))
         yield reduce(rows, X @ V[rows].T)
+
+
+def _dense_block_scan(basis, blocks, mesh, reduce):
+    # _dense_scan in place of polybasis.scan: X (K, N) put back together
+    # from its z blocks, blocks[d] the columns of z degree d transposed
+    _, m = polybasis._factor_index(basis)
+    X = np.empty((blocks[0].shape[1], len(basis)))
+    for d, B in enumerate(blocks):
+        X[:, m == d] = B.T
+    return _dense_scan(basis, X, mesh, reduce)
 
 
 def test_interpolate_constant():
@@ -175,9 +185,9 @@ def test_slab_scans_match_blocked_scans(monkeypatch, family, method, n):
                 empirical_wam_ratio(family, n, num_polys=20, control=ctrl))
 
     tensor = (lsq_norm(proj, ctrl), *scans())
-    monkeypatch.setattr(polybasis, "scan", _dense_scan)
+    monkeypatch.setattr(polybasis, "scan", _dense_block_scan)
     basis = polybasis.enumerate_basis(n)
-    dense = (max(_dense_scan(basis, approx.lsq_matrix(proj), ctrl, _column_sum_max)), *scans())
+    dense = (max(_dense_scan(basis, lsq_matrix(proj), ctrl, _column_sum_max)), *scans())
     for a, b in zip(tensor, dense):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
@@ -304,11 +314,16 @@ def test_nudged_control_mesh_is_scanned_in_full(monkeypatch):
     proj = build_lsq(mesh, n)
     scanned = []
     scan = polybasis.scan
-    monkeypatch.setattr(polybasis, "scan",
-                        lambda basis, X, on, *a: scanned.append(len(on)) or scan(basis, X, on, *a))
+
+    def recorded(basis, blocks, on, *a):
+        if on is not mesh:  # the scan of the mesh that forms Q = V P
+            scanned.append(len(on))
+        return scan(basis, blocks, on, *a)
+
+    monkeypatch.setattr(polybasis, "scan", recorded)
     got = lsq_norm(proj, pts)
     assert scanned == [len(pts)]
-    want = max(_dense_scan(polybasis.enumerate_basis(n), approx.lsq_matrix(proj), pts,
+    want = max(_dense_scan(polybasis.enumerate_basis(n), lsq_matrix(proj), pts,
                            _column_sum_max))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -427,6 +442,18 @@ def test_lsq_constant():
     assert np.abs(got[1:]).max() < 1e-10
 
 
+def test_lsq_fit_checks_the_sample_count_before_forming_q(monkeypatch):
+    # the count is checked against the mesh, so a misaligned call forms no Q
+    proj = build_lsq(meshgen.wam1(3), 3)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("formed Q for misaligned samples")
+
+    monkeypatch.setattr(polybasis, "evaluate", unbuilt)
+    with pytest.raises(ValueError, match="align with the projector mesh"):
+        lsq_fit(proj, np.ones(proj.mesh.cardinality - 1))
+
+
 def test_lsq_projector_unique_across_steps():
     # the projector is unique; extra orthogonalization steps only improve
     # conditioning (one step is the least that yields orthonormal columns)
@@ -435,10 +462,21 @@ def test_lsq_projector_unique_across_steps():
     rng = np.random.default_rng(11)
     c = rng.uniform(-1, 1, polybasis.basis_size(n))
     samples = _values(c, n, mesh.points)
-    P, q = extract.precondition(mesh, n, 1)
-    f1 = lsq_fit(approx.LsqProjector(mesh=mesh, degree=n, transform=P, q=q), samples)
+    P = extract.transform(mesh, n, 1)
+    f1 = lsq_fit(approx.LsqProjector(mesh=mesh, degree=n, transform=P), samples)
     f2 = lsq_fit(build_lsq(mesh, n), samples)
     assert np.abs(f1 - f2).max() <= 1e-8
+
+
+def test_lsq_norm_forms_no_x_and_copies_no_block():
+    # the projector keeps only P; lsq_norm forms Q = V P, the z blocks
+    # P[m == d] Q^T of X = Q P^T from it, and frees Q before the scan, so
+    # Q and the blocks are its only M x N arrays (X and a z-grouped copy of
+    # it were two more)
+    n = 10
+    mesh, ctrl = meshgen.wam1(n), meshgen.control_mesh("wam1", n)
+    peak = traced_peak(lambda: lsq_norm(build_lsq(mesh, n), ctrl))
+    assert peak < 2.5 * mesh.cardinality * polybasis.basis_size(n) * 8
 
 
 def test_lsq_norm_reference_magnitude():

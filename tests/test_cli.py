@@ -186,8 +186,9 @@ def test_metrics_rows(tmp_path, capsys):
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_afp_selection_leaves_the_shared_projector_intact(tmp_path, family):
     # at approx.LSQ_STEPS steps selection and least squares share the
-    # projector's q; AFP factors a copy of it in place, so q and the LSQ
-    # norm taken after the selection are those of a fresh projector
+    # projector's P; AFP forms its own U = V P from it and factors U in
+    # place, so P, the q it gives and the LSQ norm taken after the
+    # selection are those of a fresh projector
     run = DegreeRun(family, 5, "afp", approx.LSQ_STEPS)
     q = run.projector.q.tobytes()
     run.selection
@@ -220,9 +221,9 @@ def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_extract_selects_the_nodes_of_the_shared_projector(tmp_path, family, method):
     # at approx.LSQ_STEPS steps `extract` preconditions on its own, while
-    # `metrics` and `errors` select from a copy of the projector's q in the
+    # `metrics` and `errors` form U = V P from the projector's P in the
     # order the factorization overwrites: the same U bytes, so the same
-    # nodes, and q is left intact
+    # nodes, and P (so q) is left intact
     n = 10
     assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
                  "--ortho-steps", str(approx.LSQ_STEPS), "--out", str(tmp_path / "cli")]) == 0
@@ -235,6 +236,18 @@ def test_extract_selects_the_nodes_of_the_shared_projector(tmp_path, family, met
     assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "shared" / name).read_bytes()
 
 
+@pytest.mark.parametrize("method", ["afp", "dlp"])
+def test_shared_step_selection_holds_one_m_by_n_array(method):
+    # at approx.LSQ_STEPS the selection forms its own U = V P from the
+    # projector's P, in the order its factorization overwrites, and copies
+    # no Q: beside U there are only N x N arrays (P, its z blocks, the
+    # projector's Gram steps) and the factorization's temporaries
+    n = 10
+    run = DegreeRun("wam1", n, method, approx.LSQ_STEPS)
+    U_nbytes = meshgen.wam1(n).cardinality * polybasis.basis_size(n) * 8
+    assert traced_peak(lambda: run.selection) < 1.9 * U_nbytes
+
+
 def _blake(pts):
     pts = np.asarray(getattr(pts, "points", pts))
     return hashlib.blake2b(pts.tobytes(), digest_size=16).hexdigest()
@@ -243,14 +256,16 @@ def _blake(pts):
 def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     # per degree under the default --ortho-steps 2: no mesh Vandermonde (the
     # preconditioner works from the mesh's tensor grids) and no Vandermonde
-    # ever rebuilt, one preconditioning shared by selection and least
-    # squares, one LU of the node Vandermonde, one pass over the mesh (for
-    # U) and the control passes: `metrics` scans the control mesh for the
-    # Lebesgue constant and the orbit representatives for the LSQ norm, or
-    # the control mesh again where no isometry verifies (wam2 at odd n = 3);
-    # `errors` makes one control pass
+    # ever rebuilt, one transform P (extract.transform) shared by selection
+    # and least squares, one LU of the node Vandermonde, two passes over
+    # the mesh (U = V P for the selection, Q = V P where least squares
+    # reads it: no M x N array is kept between them) and the control
+    # passes: `metrics` scans the control mesh for the Lebesgue constant
+    # and the orbit representatives for the LSQ norm, or the control mesh
+    # again where no isometry verifies (wam2 at odd n = 3); `errors` makes
+    # one control pass
     built, counts = {}, {}
-    vandermonde, precondition = polybasis.vandermonde, extract.precondition
+    vandermonde, transform = polybasis.vandermonde, extract.transform
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
 
     def counted_vandermonde(basis, pts):
@@ -272,7 +287,7 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
         return scan(basis, X, pts, *args, **kwargs)
 
     monkeypatch.setattr(polybasis, "vandermonde", counted_vandermonde)
-    monkeypatch.setattr(extract, "precondition", counter("ortho", precondition))
+    monkeypatch.setattr(extract, "transform", counter("ortho", transform))
     monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
     monkeypatch.setattr(polybasis, "scan", counted_scan)
     degrees = (2, 3)
@@ -294,7 +309,7 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
         assert main(argv + ["--degree", "2,3", "--out", str(tmp_path)]) == 0
         assert not any((_blake(m), m.degree) in built for m in meshes)
         assert len(built) == 2 and max(built.values()) == 1  # the nodes of each degree
-        assert counts == {"ortho": 2, "lu": 2, "mesh_scan": 2, "control_scan": control_scans,
+        assert counts == {"ortho": 2, "lu": 2, "mesh_scan": 4, "control_scan": control_scans,
                           "rep_scan": rep_scans}
 
 
@@ -324,19 +339,19 @@ def test_reproduce_builds_only_what_its_table_needs(tmp_path, monkeypatch):
     import wamcyl.cli as cli
 
     monkeypatch.setattr(cli, "REPRODUCE_DEGREES", [3])
-    precondition = extract.precondition
+    transform = extract.transform
 
     def forbidden(*args, **kwargs):
         raise AssertionError("stage built for a table that does not use it")
 
-    def no_lsq(mesh, n, steps, **order):
+    def no_lsq(mesh, n, steps):
         # tables 1-4 extract with zero steps; only a projector orthogonalizes
         if steps:
             forbidden()
-        return precondition(mesh, n, steps, **order)
+        return transform(mesh, n, steps)
 
     with monkeypatch.context() as m:
-        m.setattr(extract, "precondition", no_lsq)
+        m.setattr(extract, "transform", no_lsq)
         assert main(["reproduce", "--table", "3", "--out", str(tmp_path)]) == 0
     with monkeypatch.context() as m:
         m.setattr(densela, "qr_col_pivot", forbidden)
@@ -367,18 +382,22 @@ def test_reproduce_tables_format_the_metrics_numbers(tmp_path, monkeypatch):
 def test_zero_step_vandermonde_freed_before_lsq_preconditioning(tmp_path, monkeypatch, command):
     # a 0-step selection preconditions on its own, so its U (the mesh
     # Vandermonde) is freed once the nodes are chosen, before the
-    # least-squares projector preconditions the mesh again
-    precondition, zero_step = extract.precondition, []
+    # least-squares projector orthogonalizes on the mesh (extract.transform)
+    precondition, transform, zero_step = extract.precondition, extract.transform, []
 
     def watched(mesh, n, steps):
-        if steps >= 1:
-            assert all(ref() is None for ref in zero_step), "a 0-step U is still alive"
         P, U = precondition(mesh, n, steps)
         if steps == 0:
             zero_step.append(weakref.ref(U))
         return P, U
 
+    def checked(mesh, n, steps):
+        if steps >= 1:
+            assert all(ref() is None for ref in zero_step), "a 0-step U is still alive"
+        return transform(mesh, n, steps)
+
     monkeypatch.setattr(extract, "precondition", watched)
+    monkeypatch.setattr(extract, "transform", checked)
     assert main(command + ["--mesh", "wam2", "--method", "afp", "--ortho-steps", "0",
                            "--degree", "3,4", "--out", str(tmp_path)]) == 0
     assert len(zero_step) == 2

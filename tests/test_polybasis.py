@@ -141,8 +141,8 @@ def test_vandermonde_block_iteration():
     basis = enumerate_basis(4)
     V = vandermonde(basis, mesh)
     # the scan reuses one buffer per grid, so the reduction copies it
-    parts = list(polybasis.scan(basis, np.eye(len(basis)), mesh.points,
-                                lambda rows, R: (rows, R.T.copy())))
+    blocks = polybasis.z_blocks(basis, np.eye(len(basis)))
+    parts = list(polybasis.scan(basis, blocks, mesh.points, lambda rows, R: (rows, R.T.copy())))
     assert [len(rows) for rows, _ in parts] == [1089] * 33  # one block per z layer
     # the identity X gives the Vandermonde rows of each block
     got = np.full_like(V, np.nan)
