@@ -1,7 +1,7 @@
 """Interpolation and discrete least squares at extracted nodes.
 
 Coefficients always live in the graded cylinder basis, even when a
-least-squares projector was built through a preconditioning transform, so
+least-squares projector was built through an orthogonalizing transform, so
 interpolants can be evaluated and compared across modules.  Sup norms over
 large control meshes are reductions of X b(x) over one stream of z layers
 (polybasis.scan), which runs tensor grid by tensor grid and z node by z

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
+from . import approx, cubature, densela, extract, fileio, meshgen, testfns
 from .errors import WamcylError
 
 METHOD_CHOICES = ("afp", "dlp")
@@ -66,6 +66,11 @@ def _single_degree(args):
     return args.degree[0]
 
 
+def _select(method):
+    """extract.select_afp or select_dlp, looked up when called: a tracer swaps them."""
+    return {"afp": extract.select_afp, "dlp": extract.select_dlp}[method]
+
+
 def cmd_gen(args):
     n = _single_degree(args)
     mesh = meshgen.generate_mesh(args.mesh, n)
@@ -77,7 +82,7 @@ def cmd_gen(args):
 def cmd_extract(args):
     n = _single_degree(args)
     run = DegreeRun(args.mesh, n, args.method, args.ortho_steps)
-    sel = run.select()  # no projector: the selection owns its U
+    sel = _select(args.method)(run.mesh, n, args.ortho_steps)  # no projector: a P of its own
     path = fileio.write_extraction_csv(Path(args.out) / f"{args.mesh}{n}_{args.method}.csv", sel)
     print(f"{args.method} degree {sel.degree} from {run.mesh.family}: {sel.count} nodes -> {path}")
     return 0
@@ -85,11 +90,10 @@ def cmd_extract(args):
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  When selection and projector both take approx.LSQ_STEPS
-    steps, the selection forms its own U = V P from the projector's P, in
-    the memory order its factorization overwrites; otherwise it selects
-    through extract.select_afp or select_dlp.  Either way U is the only
-    M x N array it holds, and is freed once the nodes are chosen.  The
+    most once.  The selection is one call of extract.select_afp or
+    select_dlp, which forms and factors U = V P, the only M x N array it
+    holds, freed once the nodes are chosen; when selection and projector
+    both take approx.LSQ_STEPS steps it passes the projector's P.  The
     selection holds the one LU of its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0):
@@ -105,19 +109,10 @@ class DegreeRun:
     def projector(self):
         return approx.build_lsq(self.mesh, self.degree)
 
-    def select(self):
-        """A fresh selection that preconditions on its own, without the
-        projector's P."""
-        select = {"afp": extract.select_afp, "dlp": extract.select_dlp}[self.method]
-        return select(self.mesh, self.degree, self.ortho_steps)
-
     @cached_property
     def selection(self):
-        if self.ortho_steps != approx.LSQ_STEPS:
-            return self.select()
-        U = polybasis.evaluate(polybasis.enumerate_basis(self.degree), self.projector.transform,
-                               self.mesh, "C" if self.method == "afp" else "F")
-        return extract.select_nodes(self.mesh, self.degree, self.method, U, self.ortho_steps)
+        P = self.projector.transform if self.ortho_steps == approx.LSQ_STEPS else None
+        return _select(self.method)(self.mesh, self.degree, self.ortho_steps, P)
 
     @cached_property
     def control(self):
@@ -221,7 +216,7 @@ def cmd_reproduce(args):
         header, line = ("n", "lebesgue", "cond_inf"), "n={}: lebesgue {:.4g}  cond {:.4g}"
         family, method = _TABLE_CONFIG[args.table]
 
-        def values(n):  # 0 steps: unpreconditioned extraction mirrors the source experiments
+        def values(n):  # 0 steps: extraction from V itself mirrors the source experiments
             return DegreeRun(family, n, method, ortho_steps=0).node_metrics()
     rows = []
     for n in degrees:

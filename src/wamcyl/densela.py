@@ -14,9 +14,9 @@ runs in the memory of a Fortran-ordered input.  Row-pivoted LU is
 left-looking over the degree panels of the graded basis: one triangular
 solve and one GEMM per panel, then column-by-column elimination inside
 it, on a Fortran-ordered copy or, where the caller opts in with
-overwrite_a=True, in the input's own memory.  A panel's operations depend only on the row count and its degree,
-so pivot choices on a leading block of whole degrees are bitwise
-independent of any trailing columns.
+overwrite_a=True, in the input's own memory.  A panel's operations depend
+only on the row count and its degree, so pivot choices on a leading block
+of whole degrees are bitwise independent of any trailing columns.
 """
 
 import warnings

@@ -1,12 +1,12 @@
 """Node extraction from a WAM: approximate Fekete and discrete Leja points.
 
-Both extractions act on the rectangular Vandermonde V of the graded basis,
-optionally after an iterated change to a mesh-discretely-orthonormal basis
-U = V P, from Cholesky steps on V^T V built from the mesh's tensor grids.
-Approximate Fekete points come from column-pivoted QR of the transposed
-matrix; discrete Leja points from row-pivoted LU.  The discrete Leja
-selection depends on the basis ordering, which the graded ordering of
-`polybasis` fixes.
+Both extractions factor one matrix, U = V P: the rectangular Vandermonde V
+of the graded basis on the mesh after an iterated change to a
+mesh-discretely-orthonormal basis, P from Cholesky steps on V^T V built
+from the mesh's tensor grids (P = I, U = V for 0 steps).  Approximate
+Fekete points come from column-pivoted QR of U^T; discrete Leja points
+from row-pivoted LU of U.  The discrete Leja selection depends on the
+basis ordering, which the graded ordering of `polybasis` fixes.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +46,7 @@ class ExtractionResult:
         return densela.lu_factor_checked(self.vandermonde)
 
 
-# largest CholeskyQR error bound precondition accepts: above the <= 3.9e-13
+# largest CholeskyQR error bound transform accepts: above the <= 3.9e-13
 # of the WAMs up to n = 30, below the 1e-5 of wam1(5) squeezed tenfold in z
 GRAM_BOUND = 1e-11
 
@@ -71,18 +71,6 @@ def transform(mesh, n, steps):
     return _cholesky_steps(polybasis.gram(polybasis.enumerate_basis(n), mesh), n, steps)
 
 
-def precondition(mesh, n, steps, order="C"):
-    """(P, U): P = transform(mesh, n, steps), with its checks, and
-    U = V P, the iterate node selection factors; (None, V) for steps = 0.
-    U comes from one grid scan, without V, once P is formed, and is
-    C-ordered or, for order="F", Fortran-ordered: the order select_nodes
-    factors in place for AFP and DLP respectively."""
-    P, basis = transform(mesh, n, steps), polybasis.enumerate_basis(n)
-    if P is None:
-        return None, polybasis.vandermonde(basis, mesh, order)
-    return P, polybasis.evaluate(basis, P, mesh, order)
-
-
 def _cholesky_steps(G, n, steps):
     # P after `steps` Cholesky steps on the Gram matrix G, checked against
     # GRAM_BOUND; G and every temporary die with this frame
@@ -101,34 +89,36 @@ def _cholesky_steps(G, n, steps):
     return P
 
 
-def select_nodes(mesh, n, method, U, ortho_steps):
-    """Degree-n nodes from the rows of U, the preconditioned Vandermonde of
-    the mesh, in greedy selection order: column-pivoted QR of U^T for
-    'afp', row-pivoted LU of U (its first N permuted rows) for 'dlp'.
-    Raises ValueError for any other method.  U is consumed: the
-    factorization runs in its memory where its order allows, C order for
-    'afp' and Fortran order for 'dlp', and overwrites it (any other U is
-    copied once), so pass one that no caller reads again."""
-    N = U.shape[1]
+def select_nodes(mesh, n, method, ortho_steps=2, P=None):
+    """Degree-n nodes of the mesh in greedy selection order: column-pivoted
+    QR of U^T for 'afp', row-pivoted LU of U (its first N permuted rows)
+    for 'dlp', U = V P with P = transform(mesh, n, ortho_steps) unless the
+    caller passes the P of those steps.  Raises ValueError for any other
+    method before anything is built.  U is formed here, by one scan of the
+    mesh, in the order its factorization overwrites: C for 'afp', Fortran
+    for 'dlp'; P is let go before the factorization runs in U's memory."""
+    if method not in ("afp", "dlp"):
+        raise ValueError(f"unknown extraction method {method!r}; expected 'afp' or 'dlp'")
+    if P is None:
+        P = transform(mesh, n, ortho_steps)
+    basis, order = polybasis.enumerate_basis(n), "C" if method == "afp" else "F"
+    U = (polybasis.vandermonde(basis, mesh, order) if P is None
+         else polybasis.evaluate(basis, P, mesh, order))
+    del P  # a P made here dies before the factorization
     if method == "afp":
         rec = densela.qr_col_pivot(U.T)
-    elif method == "dlp":
-        rec = densela.lu_row_pivot(U, overwrite_a=True)
     else:
-        raise ValueError(f"unknown extraction method {method!r}; expected 'afp' or 'dlp'")
-    idx = np.array(rec.order[:N])
+        rec = densela.lu_row_pivot(U, overwrite_a=True)
+    idx = np.array(rec.order[:len(basis)])
     return ExtractionResult(method=method, degree=n, ortho_steps=ortho_steps,
                             mesh_family=mesh.family, indices=idx, nodes=mesh.points[idx])
 
 
-def select_afp(mesh, n, ortho_steps=2):
-    """Approximate Fekete points of degree n extracted from the mesh, from a
-    C-ordered U that the QR overwrites."""
-    return select_nodes(mesh, n, "afp", precondition(mesh, n, ortho_steps)[1], ortho_steps)
+def select_afp(mesh, n, ortho_steps=2, P=None):
+    """Approximate Fekete points of degree n from the mesh: select_nodes for 'afp'."""
+    return select_nodes(mesh, n, "afp", ortho_steps, P)
 
 
-def select_dlp(mesh, n, ortho_steps=2):
-    """Discrete Leja points of degree n extracted from the mesh, from a
-    Fortran-ordered U that the LU overwrites."""
-    U = precondition(mesh, n, ortho_steps, order="F")[1]
-    return select_nodes(mesh, n, "dlp", U, ortho_steps)
+def select_dlp(mesh, n, ortho_steps=2, P=None):
+    """Discrete Leja points of degree n from the mesh: select_nodes for 'dlp'."""
+    return select_nodes(mesh, n, "dlp", ortho_steps, P)

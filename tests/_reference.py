@@ -1,6 +1,7 @@
 """Test-local references: scalar evaluators of the basis, the WAM-ratio
 monitor, the dense least-squares matrix, the exact product rule of the
-cubature oracle, and a gauge of the memory a call allocates.
+cubature oracle, the matrix U = V P that node selection factors, and a
+gauge of the memory a call allocates.
 
 None of these is called by the library.  The tests compare the library's
 vectorized code against them, or use them to check a claim of the paper.
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from wamcyl import densela, meshgen, polybasis
+from wamcyl import densela, extract, meshgen, polybasis
 from wamcyl.cubature import _rules_1d
 from wamcyl.errors import DomainError
 
@@ -110,6 +111,16 @@ def product_rule(level):
 def rule_level_for_degree(d):
     """Smallest level whose product rule is exact for total degree d."""
     return max(0, (d + 1) // 2)
+
+
+def transformed_vandermonde(mesh, n, steps, order="C"):
+    """(P, U) as extract.select_nodes forms them: P = extract.transform(mesh,
+    n, steps), with its checks, and U = V P from one scan of the mesh in
+    the given memory order; (None, V) for 0 steps."""
+    P, basis = extract.transform(mesh, n, steps), polybasis.enumerate_basis(n)
+    if P is None:
+        return None, polybasis.vandermonde(basis, mesh, order)
+    return P, polybasis.evaluate(basis, P, mesh, order)
 
 
 def traced_peak(fn, *args):

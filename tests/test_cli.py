@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _reference import traced_peak
+from _reference import traced_peak, transformed_vandermonde
 
 import wamcyl
 from wamcyl import approx, cubature, densela, extract, fileio, meshgen, polybasis, testfns
@@ -52,16 +52,19 @@ def test_extract_degree0(tmp_path):
 @pytest.mark.parametrize("family,n", [("wam1", 0), ("wam2", 0), ("wam1", 4), ("wam2", 4)])
 def test_extract_writes_the_library_selection(tmp_path, family, n, method):
     # the command selects through select_afp or select_dlp; the files are
-    # those of the library call on the degree max(n, 1) mesh
-    assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
-                 "--out", str(tmp_path / "cli")]) == 0
+    # those of the library call on the degree max(n, 1) mesh, at 0 steps,
+    # at 1 (neither 0 nor approx.LSQ_STEPS) and at 2
     select = extract.select_afp if method == "afp" else extract.select_dlp
-    sel = select(meshgen.generate_mesh(family, max(n, 1)), n)
-    (tmp_path / "lib").mkdir()
-    fileio.write_extraction_csv(tmp_path / "lib" / f"{family}{n}_{method}.csv", sel)
-    for suffix in (".csv", ".json"):
-        name = f"{family}{n}_{method}{suffix}"
-        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    for steps in (0, 1, 2):
+        cli, lib = tmp_path / f"cli{steps}", tmp_path / f"lib{steps}"
+        assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
+                     "--ortho-steps", str(steps), "--out", str(cli)]) == 0
+        sel = select(meshgen.generate_mesh(family, max(n, 1)), n, steps)
+        lib.mkdir()
+        fileio.write_extraction_csv(lib / f"{family}{n}_{method}.csv", sel)
+        for suffix in (".csv", ".json"):
+            name = f"{family}{n}_{method}{suffix}"
+            assert (cli / name).read_bytes() == (lib / name).read_bytes()
 
 
 def test_usage_error_exits_1(capsys):
@@ -209,7 +212,7 @@ def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
     # steps the N x N transform P and the scan's z-grouped copy of it,
     # alive with U while the scan forms U
     n = 10
-    P, U = extract.precondition(meshgen.wam1(n), n, steps)
+    P, U = transformed_vandermonde(meshgen.wam1(n), n, steps)
     bound = 1.5 * U.nbytes + (0 if P is None else P.nbytes)
     argv = ["extract", "--mesh", "wam1", "--degree", str(n), "--method", method,
             "--ortho-steps", str(steps), "--out", str(tmp_path)]
@@ -220,10 +223,10 @@ def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
 @pytest.mark.parametrize("method", ["afp", "dlp"])
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_extract_selects_the_nodes_of_the_shared_projector(tmp_path, family, method):
-    # at approx.LSQ_STEPS steps `extract` preconditions on its own, while
-    # `metrics` and `errors` form U = V P from the projector's P in the
-    # order the factorization overwrites: the same U bytes, so the same
-    # nodes, and P (so q) is left intact
+    # at approx.LSQ_STEPS steps `extract` selects from a P it makes for
+    # itself, while `metrics` and `errors` pass the projector's P: the same
+    # P bytes, so the same U and the same nodes, and P (so q) is left
+    # intact
     n = 10
     assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
                  "--ortho-steps", str(approx.LSQ_STEPS), "--out", str(tmp_path / "cli")]) == 0
@@ -380,23 +383,23 @@ def test_reproduce_tables_format_the_metrics_numbers(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", [["metrics"], ["errors", "--function", "f3"]])
 def test_zero_step_vandermonde_freed_before_lsq_preconditioning(tmp_path, monkeypatch, command):
-    # a 0-step selection preconditions on its own, so its U (the mesh
-    # Vandermonde) is freed once the nodes are chosen, before the
-    # least-squares projector orthogonalizes on the mesh (extract.transform)
-    precondition, transform, zero_step = extract.precondition, extract.transform, []
+    # a 0-step selection factors the mesh Vandermonde itself, so that U is
+    # freed once the nodes are chosen, before the least-squares projector
+    # orthogonalizes on the mesh (extract.transform)
+    vandermonde, transform, zero_step = polybasis.vandermonde, extract.transform, []
 
-    def watched(mesh, n, steps):
-        P, U = precondition(mesh, n, steps)
-        if steps == 0:
-            zero_step.append(weakref.ref(U))
-        return P, U
+    def watched(basis, pts, order="C"):
+        V = vandermonde(basis, pts, order)
+        if len(V) > V.shape[1]:  # a mesh's, not the square node Vandermonde
+            zero_step.append(weakref.ref(V))
+        return V
 
     def checked(mesh, n, steps):
         if steps >= 1:
             assert all(ref() is None for ref in zero_step), "a 0-step U is still alive"
         return transform(mesh, n, steps)
 
-    monkeypatch.setattr(extract, "precondition", watched)
+    monkeypatch.setattr(polybasis, "vandermonde", watched)
     monkeypatch.setattr(extract, "transform", checked)
     assert main(command + ["--mesh", "wam2", "--method", "afp", "--ortho-steps", "0",
                            "--degree", "3,4", "--out", str(tmp_path)]) == 0

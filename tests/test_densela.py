@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from _reference import traced_peak
+from _reference import traced_peak, transformed_vandermonde
 
 import wamcyl
-from wamcyl import densela, extract, meshgen
+from wamcyl import densela, meshgen
 from wamcyl.densela import (
     RANK_TOL,
     PivotRecord,
@@ -61,7 +61,7 @@ def test_qr_requires_wide_matrix():
 def test_qr_matches_scipy_qr_bitwise(family, n, steps):
     # the in-place dgeqp3 call with its queried workspace pivots exactly as
     # scipy.linalg.qr does: same order, same |diag R|
-    U = extract.precondition(meshgen.generate_mesh(family, n), n, steps)[1]
+    U = transformed_vandermonde(meshgen.generate_mesh(family, n), n, steps)[1]
     R, piv = scipy.linalg.qr(U.T, mode="r", pivoting=True)
     rec = qr_col_pivot(U.T)
     np.testing.assert_array_equal(rec.order, piv)
@@ -181,7 +181,7 @@ def test_lu_requires_tall_matrix():
 
 def _owned_u(family, n, steps):
     # a Fortran-ordered U, as select_dlp factors it
-    return extract.precondition(meshgen.generate_mesh(family, n), n, steps, order="F")[1]
+    return transformed_vandermonde(meshgen.generate_mesh(family, n), n, steps, order="F")[1]
 
 
 def test_lu_overwrite_a_factors_an_owned_fortran_array_in_place():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from _reference import traced_peak
+from _reference import traced_peak, transformed_vandermonde
 from scipy.linalg.lapack import dgeqp3
 
 from wamcyl import densela, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
-from wamcyl.extract import precondition, select_afp, select_dlp, select_nodes
+from wamcyl.extract import select_afp, select_dlp, select_nodes, transform
 from wamcyl.meshgen import Mesh
 
 
@@ -30,7 +30,7 @@ def test_precondition_matches_explicit_q_reference(family, n, steps):
     # the WAMs pass the Gram error bound, the smallest meshes included
     mesh = meshgen.generate_mesh(family, n)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
-    P, U = precondition(mesh, n, steps)
+    P, U = transformed_vandermonde(mesh, n, steps)
     ref = _explicit_q_transform(V, steps)
     assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(U - V @ P).max() <= 1e-13
@@ -40,7 +40,7 @@ def test_precondition_matches_explicit_q_reference(family, n, steps):
 def test_precondition_stays_on_the_gram_path_at_degree_20():
     # wam2 has the larger Gram error bound of the two WAMs (1.6e-13 at
     # n = 20), still far below GRAM_BOUND
-    _, U = precondition(meshgen.wam2(20), 20, 2)
+    _, U = transformed_vandermonde(meshgen.wam2(20), 20, 2)
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
 
 
@@ -54,7 +54,7 @@ def test_precondition_rejects_a_mesh_the_gram_bound_cannot_certify(squeeze):
     else:
         pts = np.tile([0.5, 0.0, 0.25], (100, 1))
     with pytest.raises(RankDeficiencyError, match="GRAM_BOUND"):
-        precondition(Mesh("wam1", 5, pts), 5, 2)
+        transform(Mesh("wam1", 5, pts), 5, 2)
 
 
 def test_precondition_checks_its_inputs_before_building_anything(monkeypatch):
@@ -64,10 +64,10 @@ def test_precondition_checks_its_inputs_before_building_anything(monkeypatch):
     for name in ("vandermonde", "gram", "evaluate"):
         monkeypatch.setattr(polybasis, name, unbuilt)
     with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
-        precondition(meshgen.wam1(5), 5, -1)
+        select_nodes(meshgen.wam1(5), 5, "afp", -1)
     for steps in (0, 2):
         with pytest.raises(ValueError, match="8 points cannot support 56 basis elements"):
-            precondition(meshgen.wam1(1), 5, steps)
+            select_nodes(meshgen.wam1(1), 5, "dlp", steps)
 
 
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
@@ -86,34 +86,43 @@ def test_degree0_selects_first_point():
     np.testing.assert_array_equal(afp.nodes[0], mesh.points[0])
 
 
-def test_select_nodes_rejects_unknown_method():
-    mesh = meshgen.wam1(2)
-    U = precondition(mesh, 2, 0)[1]
+def test_select_nodes_rejects_unknown_method(monkeypatch):
+    # rejected before any basis matrix is built
+    def unbuilt(*args):
+        raise AssertionError("built a basis matrix for an unknown method")
+
+    for name in ("vandermonde", "gram", "evaluate"):
+        monkeypatch.setattr(polybasis, name, unbuilt)
     with pytest.raises(ValueError, match="unknown extraction method"):
-        select_nodes(mesh, 2, "fekete", U, 0)
+        select_nodes(meshgen.wam1(2), 2, "fekete", 0)
 
 
 def test_selection_holds_at_most_one_working_copy():
-    # DLP factors one Fortran-ordered copy of U; its largest temporary is
-    # the last degree panel gathered into pivot order (66 of 286 columns,
-    # 23% of U).
+    # the factorizations select_nodes runs, on the 0-step U it forms: DLP
+    # factors one Fortran-ordered copy of a C-ordered U; its largest
+    # temporary is the last degree panel gathered into pivot order (66 of
+    # 286 columns, 23% of U).
     # AFP factors an owned C-ordered U in its own memory and allocates only
     # the workspace dgeqp3 asks for.  An |LU| temporary or a copy of U
     # would add one more U.nbytes to either.
-    mesh = meshgen.wam1(10)
-    U = precondition(mesh, 10, 0)[1]
-    assert traced_peak(select_nodes, mesh, 10, "dlp", U, 0) < 1.3 * U.nbytes
+    U = transformed_vandermonde(meshgen.wam1(10), 10, 0)[1]
+    assert traced_peak(densela.lu_row_pivot, U, True) < 1.3 * U.nbytes
     work = 8 * int(dgeqp3(U.T, lwork=-1, overwrite_a=1)[3][0])
-    assert traced_peak(select_nodes, mesh, 10, "afp", U, 0) < work + 0.05 * U.nbytes
+    assert traced_peak(densela.qr_col_pivot, U.T) < work + 0.05 * U.nbytes
 
 
 def test_zero_steps_form_no_transform():
+    # with no P, select_nodes factors the mesh Vandermonde itself
     mesh = meshgen.wam2(4)
-    P, U = precondition(mesh, 4, 0)
-    assert P is None
-    np.testing.assert_array_equal(U, polybasis.vandermonde(polybasis.enumerate_basis(4), mesh))
+    assert transform(mesh, 4, 0) is None
+    V = polybasis.vandermonde(polybasis.enumerate_basis(4), mesh)
+    N = V.shape[1]
+    np.testing.assert_array_equal(select_nodes(mesh, 4, "afp", 0).indices,
+                                  densela.qr_col_pivot(V.copy().T).order[:N])  # V kept
+    np.testing.assert_array_equal(select_nodes(mesh, 4, "dlp", 0).indices,
+                                  densela.lu_row_pivot(V).order[:N])
     with pytest.raises(ValueError, match="steps must be >= 0"):
-        precondition(mesh, 4, -1)
+        transform(mesh, 4, -1)
 
 
 def test_selected_vandermonde_nonsingular():
@@ -132,7 +141,7 @@ def test_dlp_prefix_same_matrix():
     # 35-column restriction, hence degree-4 Leja points prefix degree-5
     mesh = meshgen.wam1(5)
     V = polybasis.vandermonde(polybasis.enumerate_basis(5), mesh)
-    U = V @ precondition(mesh, 5, 2)[0]
+    U = V @ transform(mesh, 5, 2)
     n4 = polybasis.basis_size(4)
     full = densela.lu_row_pivot(U).order[:n4]
     part = densela.lu_row_pivot(U[:, :n4]).order[:n4]
@@ -147,7 +156,7 @@ def test_dlp_prefix_every_degree_preconditioned(family):
     n = 10
     mesh = meshgen.generate_mesh(family, n)
     V = polybasis.vandermonde(polybasis.enumerate_basis(n), mesh)
-    P, U = precondition(mesh, n, 2)
+    P, U = transformed_vandermonde(mesh, n, 2)
     for U in (V @ P, U):
         full = densela.lu_row_pivot(U).order
         for d in range(n):

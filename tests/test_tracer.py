@@ -60,3 +60,6 @@ def test_tracer_records_the_metrics_norm_spans(tmp_path):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["approx.lebesgue_constant.self_s"] > 0
     assert metrics["approx.lsq_norm.self_s"] > 0 and metrics["approx.lsq_norm.gflop_per_s"] > 0
+    # the 2-step selection passes the projector's P to select_afp, whose
+    # span keys the extraction cell
+    assert "afp wam1:3" in spans.cells(tracer.spans)
