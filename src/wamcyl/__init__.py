@@ -3,10 +3,8 @@ Leja node extraction, and polynomial interpolation, least squares and
 cubature at those nodes."""
 
 from .approx import (
-    Interpolant,
     LsqProjector,
     build_lsq,
-    eval_interpolant,
     interpolate,
     lebesgue_constant,
     lsq_fit,

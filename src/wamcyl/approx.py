@@ -1,14 +1,15 @@
 """Interpolation and discrete least squares at extracted nodes.
 
-Coefficients always live in the graded cylinder basis, even when a
+A fitted polynomial is its (N, ...) coefficient array, as interpolate and
+lsq_fit return it, always in the graded cylinder basis, even when a
 least-squares projector was built through an orthogonalizing transform, so
-interpolants can be evaluated and compared across modules.  Sup norms over
-large control meshes are reductions of X b(x) over one stream of z layers
-(polybasis.scan), which runs tensor grid by tensor grid and z node by z
-node; the maximum is order-independent, so neither the layering nor the
-order of the points changes results.  X enters the scan as its z blocks,
-so a projector whose X is a product can hand over the blocks of the
-product and never form X.
+fits can be evaluated (polybasis.evaluate) and compared across modules.
+Sup norms over large control meshes are reductions of X b(x) over one
+stream of z layers (polybasis.scan), which runs tensor grid by tensor grid
+and z node by z node; the maximum is order-independent, so neither the
+layering nor the order of the points changes results.  X enters the scan
+as its z blocks, so a projector whose X is a product can hand over the
+blocks of the product and never form X.
 
 A least-squares projector keeps only its N x N transform P.  Q = V P,
 M x N, is formed inside the function that reads it (lsq_fit, lsq_norm)
@@ -37,12 +38,6 @@ LSQ_STEPS = 2
 
 
 @dataclass(frozen=True)
-class Interpolant:
-    degree: int
-    coefficients: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class LsqProjector:
     """Discrete least-squares projector onto degree `degree` on the mesh,
     held as its N x N transform P alone: Q = V P, mesh-discretely
@@ -61,16 +56,9 @@ class LsqProjector:
 
 
 def interpolate(nodes, samples):
-    """Interpolant through (nodes, samples); nodes is an ExtractionResult."""
-    coeffs = scipy.linalg.lu_solve(nodes.lu, np.asarray(samples, dtype=float))
-    return Interpolant(degree=nodes.degree, coefficients=coeffs)
-
-
-def eval_interpolant(q, pts):
-    """Values of the interpolant at the given points (Mesh or array)."""
-    C = q.coefficients
-    out = polybasis.evaluate(polybasis.enumerate_basis(q.degree), C.reshape(len(C), -1), pts)
-    return out.reshape((-1,) + C.shape[1:])
+    """Coefficients (N, ...) in the graded basis of the interpolant through
+    (nodes, samples); nodes is an ExtractionResult."""
+    return scipy.linalg.lu_solve(nodes.lu, np.asarray(samples, dtype=float))
 
 
 def sup_errors(degree, coefficients, fn, pts):

@@ -66,11 +66,6 @@ def _single_degree(args):
     return args.degree[0]
 
 
-def _select(method):
-    """extract.select_afp or select_dlp, looked up when called: a tracer swaps them."""
-    return {"afp": extract.select_afp, "dlp": extract.select_dlp}[method]
-
-
 def cmd_gen(args):
     n = _single_degree(args)
     mesh = meshgen.generate_mesh(args.mesh, n)
@@ -81,20 +76,20 @@ def cmd_gen(args):
 
 def cmd_extract(args):
     n = _single_degree(args)
-    run = DegreeRun(args.mesh, n, args.method, args.ortho_steps)
-    sel = _select(args.method)(run.mesh, n, args.ortho_steps)  # no projector: a P of its own
+    sel = DegreeRun(args.mesh, n, args.method, args.ortho_steps).selection
     path = fileio.write_extraction_csv(Path(args.out) / f"{args.mesh}{n}_{args.method}.csv", sel)
-    print(f"{args.method} degree {sel.degree} from {run.mesh.family}: {sel.count} nodes -> {path}")
+    print(f"{args.method} degree {sel.degree} from {sel.mesh_family}: {sel.count} nodes -> {path}")
     return 0
 
 
 class DegreeRun:
     """One degree of one mesh family, each stage built on first use and at
-    most once.  The selection is one call of extract.select_afp or
-    select_dlp, which forms and factors U = V P, the only M x N array it
-    holds, freed once the nodes are chosen; when selection and projector
-    both take approx.LSQ_STEPS steps it passes the projector's P.  The
-    selection holds the one LU of its node Vandermonde."""
+    most once; the pipeline behind every command but `gen`.  The selection
+    is one call of extract.select_afp or select_dlp, which forms and
+    factors U = V P, the only M x N array it holds, freed once the nodes
+    are chosen; when selection and projector both take approx.LSQ_STEPS
+    steps it passes the projector's P.  The selection holds the one LU of
+    its node Vandermonde."""
 
     def __init__(self, family, degree, method="afp", ortho_steps=0):
         self.family, self.degree, self.method = family, degree, method
@@ -111,8 +106,10 @@ class DegreeRun:
 
     @cached_property
     def selection(self):
+        # looked up now, not at import: a tracer swaps the module attributes
+        select = {"afp": extract.select_afp, "dlp": extract.select_dlp}[self.method]
         P = self.projector.transform if self.ortho_steps == approx.LSQ_STEPS else None
-        return _select(self.method)(self.mesh, self.degree, self.ortho_steps, P)
+        return select(self.mesh, self.degree, self.ortho_steps, P)
 
     @cached_property
     def control(self):
@@ -146,7 +143,7 @@ class DegreeRun:
         n, method, family, sel = self.degree, self.method, self.family, self.selection
         fns = [testfns.get_function(fid).fn for fid in refs]
         rule = cubature.cubature_weights(sel)
-        interp = approx.interpolate(sel, _samples(fns, sel.nodes)).coefficients
+        interp = approx.interpolate(sel, _samples(fns, sel.nodes))
         fit = approx.lsq_fit(self.projector, _samples(fns, self.mesh.points))
         err, sup_f = approx.sup_errors(n, np.hstack([interp, fit]),
                                        lambda pts: np.tile(_samples(fns, pts), 2), self.control)

@@ -13,10 +13,11 @@ LAPACK (dgeqp3, which also breaks norm ties toward the first index) and
 runs in the memory of a Fortran-ordered input.  Row-pivoted LU is
 left-looking over the degree panels of the graded basis: one triangular
 solve and one GEMM per panel, then column-by-column elimination inside
-it, on a Fortran-ordered copy or, where the caller opts in with
-overwrite_a=True, in the input's own memory.  A panel's operations depend
-only on the row count and its degree, so pivot choices on a leading block
-of whole degrees are bitwise independent of any trailing columns.
+it with whole-row swaps, on a Fortran-ordered copy or, where the caller
+opts in with overwrite_a=True, in the input's own memory.  A panel's
+operations depend only on the row count and its degree, so pivot choices
+on a leading block of whole degrees are bitwise independent of any
+trailing columns.
 """
 
 import warnings
@@ -91,17 +92,15 @@ def lu_row_pivot(A, overwrite_a=False):
     unit-lower triangular solve and one GEMM; inside the panel each column
     takes its update from the panel's earlier columns (a triangular solve
     and a GEMV, Crout order) and is then pivoted: the current row with the
-    largest absolute entry wins, the earliest on ties.  Row swaps touch
-    only the columns reached so far; each panel gathers its rows into
-    pivot order when it starts.  Column k is computed from columns 0..k
-    only, and the panel bounds do not depend on the column count, so the
-    pivots of a leading block of whole degrees are the leading pivots of
-    the full matrix, bitwise: degree-(d-1) Leja points prefix degree-d
-    ones.  The factorization runs on one Fortran-ordered copy, and A is
-    not modified, unless overwrite_a=True: then a writeable
-    Fortran-contiguous float64 A is factored in its own memory and
-    overwritten (any other A is still copied).  The arithmetic is the same
-    either way.
+    largest absolute entry wins, the earliest on ties, and the two whole
+    rows are swapped.  Column k is computed from columns 0..k only, and
+    the panel bounds do not depend on the column count, so the pivots of
+    a leading block of whole degrees are the leading pivots of the full
+    matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.  The
+    factorization runs on one Fortran-ordered copy, and A is not modified,
+    unless overwrite_a=True: then a writeable Fortran-contiguous float64 A
+    is factored in its own memory and overwritten (any other A is still
+    copied).  The arithmetic is the same either way.
     """
     if overwrite_a:
         LU = np.require(A, dtype=float, requirements=["F", "W"])
@@ -119,14 +118,13 @@ def lu_row_pivot(A, overwrite_a=False):
     c0, d = 0, 0
     while c0 < n_cols:
         c1 = min(polybasis.basis_size(d), n_cols)
-        LU[:, c0:c1] = LU[perm, c0:c1]
         if c0:
             # the products run on full-height column blocks, which BLAS
             # takes without a copy; the top c0 rows then take U12 back
             U12 = _unit_lower_solve(LU[:c0, :c0], LU[:c0, c0:c1])
             _gemm(LU[:, :c0], U12, LU[:, c0:c1], alpha=-1.0, beta=1.0)
             LU[:c0, c0:c1] = U12
-            del U12  # before the next panel's gather
+            del U12  # before the next panel's solve
         for k in range(c0, c1):
             if k > c0:
                 x = _unit_lower_solve(LU[c0:k, c0:k], LU[c0:k, k])
@@ -138,7 +136,7 @@ def lu_row_pivot(A, overwrite_a=False):
             if mags[k] < tol_abs:
                 raise SingularMatrixError(f"pivot {mags[k]:g} below tolerance at column {k}")
             if p != k:
-                LU[[k, p], :c1] = LU[[p, k], :c1]
+                LU[[k, p]] = LU[[p, k]]
                 perm[k], perm[p] = perm[p], perm[k]
             LU[k + 1 :, k] /= LU[k, k]
         c0, d = c1, d + 1
@@ -148,9 +146,9 @@ def lu_row_pivot(A, overwrite_a=False):
 def _unit_lower_solve(L, B):
     # L^-1 B for unit lower triangular L, by LAPACK dtrtrs with the
     # arguments scipy.linalg.solve_triangular(L, B, lower=True,
-    # unit_diagonal=True, check_finite=False) passes it, without its checks
-    if L.flags.f_contiguous:
-        return dtrtrs(L, B, lower=1, unitdiag=1)[0]
+    # unit_diagonal=True, check_finite=False) passes it for an L that is
+    # not Fortran-contiguous, without its checks (f2py copies L.T).  The
+    # only Fortran-contiguous L the LU hands it is 1 x 1, whose solve is B
     return dtrtrs(L.T, B, lower=0, trans=1, unitdiag=1)[0]
 
 

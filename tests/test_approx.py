@@ -6,9 +6,7 @@ from scipy.spatial import cKDTree
 
 from wamcyl import approx, densela, extract, meshgen, polybasis
 from wamcyl.approx import (
-    Interpolant,
     build_lsq,
-    eval_interpolant,
     interpolate,
     lebesgue_constant,
     lsq_fit,
@@ -20,6 +18,11 @@ from wamcyl.errors import DomainError
 
 def _values(coeffs, n, pts):
     return polybasis.vandermonde(polybasis.enumerate_basis(n), pts) @ coeffs
+
+
+def _evaluate(c, n, pts):
+    # the degree-n polynomial of coefficient vector c at pts, by one scan
+    return polybasis.evaluate(polybasis.enumerate_basis(n), c[:, None], pts)[:, 0]
 
 
 def _dense_scan(basis, X, mesh, reduce):
@@ -44,19 +47,19 @@ def _dense_block_scan(basis, blocks, mesh, reduce):
 
 def test_interpolate_constant():
     sel = extract.select_afp(meshgen.wam1(3), 3)
-    q = interpolate(sel, np.ones(sel.count))
-    assert q.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(q.coefficients[1:]).max() < 1e-12
+    c = interpolate(sel, np.ones(sel.count))
+    assert c[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(c[1:]).max() < 1e-12
 
 
 def test_interpolate_basis_element():
     sel = extract.select_afp(meshgen.wam1(3), 3)
     samples = np.sqrt(2.0) * sel.nodes[:, 2]
-    q = interpolate(sel, samples)
+    c = interpolate(sel, samples)
     pos = polybasis.enumerate_basis(3).indices.index((1, 0, 0))
     want = np.zeros(sel.count)
     want[pos] = 1.0
-    np.testing.assert_allclose(q.coefficients, want, atol=1e-12)
+    np.testing.assert_allclose(c, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("family,method", [("wam1", "afp"), ("wam2", "dlp")])
@@ -66,24 +69,23 @@ def test_interpolation_roundtrip_random(family, method):
     sel = (extract.select_afp if method == "afp" else extract.select_dlp)(mesh, n)
     rng = np.random.default_rng(8)
     c = rng.uniform(-1, 1, sel.count)
-    q = interpolate(sel, _values(c, n, sel.nodes))
-    assert np.abs(q.coefficients - c).max() < 1e-9 * np.abs(c).max()
+    got = interpolate(sel, _values(c, n, sel.nodes))
+    assert np.abs(got - c).max() < 1e-9 * np.abs(c).max()
 
 
 def test_eval_at_own_nodes_reproduces_samples():
     sel = extract.select_dlp(meshgen.wam2(4), 4)
     rng = np.random.default_rng(9)
     samples = rng.standard_normal(sel.count)
-    q = interpolate(sel, samples)
-    got = eval_interpolant(q, sel.nodes)
+    got = _evaluate(interpolate(sel, samples), 4, sel.nodes)
     assert np.abs(got - samples).max() <= 1e-10 * np.abs(samples).max()
 
 
 def test_constant_interpolant_everywhere():
     sel = extract.select_afp(meshgen.wam1(2), 0, ortho_steps=0)
-    q = interpolate(sel, np.ones(1))
+    c = interpolate(sel, np.ones(1))
     pts = np.array([[0.3, 0.1, -0.7], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(eval_interpolant(q, pts), 1.0)
+    np.testing.assert_allclose(_evaluate(c, 0, pts), 1.0)
 
 
 def test_lebesgue_degree0_is_one():
@@ -332,14 +334,16 @@ def test_eval_interpolant_keeps_mesh_order():
     # values come back in the order of the points, also of a shuffled array
     sel = extract.select_afp(meshgen.wam1(3), 3)
     rng = np.random.default_rng(16)
-    q = interpolate(sel, rng.standard_normal((sel.count, 2)))
+    c = interpolate(sel, rng.standard_normal((sel.count, 2)))
+    basis = polybasis.enumerate_basis(3)
     ctrl = meshgen.wam1(12)
-    np.testing.assert_array_equal(eval_interpolant(q, ctrl), eval_interpolant(q, ctrl.points))
+    np.testing.assert_array_equal(polybasis.evaluate(basis, c, ctrl),
+                                  polybasis.evaluate(basis, c, ctrl.points))
     pts = ctrl.points[rng.permutation(ctrl.cardinality)]
-    want = _values(q.coefficients, 3, pts)
-    np.testing.assert_allclose(eval_interpolant(q, pts), want, rtol=0,
+    want = _values(c, 3, pts)
+    np.testing.assert_allclose(polybasis.evaluate(basis, c, pts), want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
-    assert eval_interpolant(q, np.empty((0, 3))).shape == (0, 2)
+    assert polybasis.evaluate(basis, c, np.empty((0, 3))).shape == (0, 2)
 
 
 def test_scan_evaluates_the_ridge_factors_once(monkeypatch):
@@ -349,8 +353,8 @@ def test_scan_evaluates_the_ridge_factors_once(monkeypatch):
     r, t = np.sqrt(rng.uniform(0, 1, 500)), rng.uniform(0, 2 * np.pi, 500)
     pts = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(-1, 1, 500)])
     sel = extract.select_afp(meshgen.wam1(5), 5)
-    q = interpolate(sel, rng.standard_normal(sel.count))
-    want = _values(q.coefficients, 5, pts)
+    c = interpolate(sel, rng.standard_normal(sel.count))
+    want = _values(c, 5, pts)
     calls = []
     ridge_factors = polybasis._ridge_factors
 
@@ -359,20 +363,20 @@ def test_scan_evaluates_the_ridge_factors_once(monkeypatch):
         return ridge_factors(*args)
 
     monkeypatch.setattr(polybasis, "_ridge_factors", counted)
-    got = eval_interpolant(q, pts)
+    got = _evaluate(c, 5, pts)
     assert len(calls) == 1
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     # and so are the Vandermonde's, though it is filled one z value at a time
-    np.testing.assert_array_equal(_values(q.coefficients, 5, pts), want)
+    np.testing.assert_array_equal(_values(c, 5, pts), want)
     assert len(calls) == 2
 
 
 def test_scans_reject_points_outside_the_cylinder():
     sel = extract.select_afp(meshgen.wam1(3), 3)
-    q = interpolate(sel, np.ones(sel.count))
+    c = interpolate(sel, np.ones(sel.count))
     pts = np.array([[0.3, 0.1, -0.7], [0.9, 0.5, 0.0]])  # r^2 = 1.06
     with pytest.raises(DomainError):
-        eval_interpolant(q, pts)
+        _evaluate(c, 3, pts)
     with pytest.raises(DomainError):
         lebesgue_constant(sel, pts)
 
@@ -382,7 +386,7 @@ def test_non_finite_points_are_outside_the_cylinder(column):
     # every comparison with NaN is false, so the domain test must be one that
     # NaN fails; the message names the offending row
     sel = extract.select_afp(meshgen.wam1(3), 3)
-    q = interpolate(sel, np.ones(sel.count))
+    c = interpolate(sel, np.ones(sel.count))
     for value in (np.nan, np.inf):
         pts = np.array([[0.3, 0.1, -0.7], [0.0, 0.2, 0.5]])
         pts[1, column] = value
@@ -391,9 +395,9 @@ def test_non_finite_points_are_outside_the_cylinder(column):
         with pytest.raises(DomainError, match=r"\(row 1\)"):
             meshgen.Mesh("wam1", 3, pts)
         with pytest.raises(DomainError):
-            eval_interpolant(q, pts)
+            _evaluate(c, 3, pts)
         with pytest.raises(DomainError):
-            sup_errors(3, q.coefficients[:, None], lambda p: np.ones((len(p), 1)), pts)
+            sup_errors(3, c[:, None], lambda p: np.ones((len(p), 1)), pts)
 
 
 def test_lebesgue_scale_invariance():

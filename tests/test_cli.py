@@ -206,11 +206,11 @@ def test_afp_selection_leaves_the_shared_projector_intact(tmp_path, family):
 @pytest.mark.parametrize("steps", [0, approx.LSQ_STEPS])
 @pytest.mark.parametrize("method", ["afp", "dlp"])
 def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
-    # `extract` builds no projector and copies no U: AFP factors a C-ordered
-    # U and DLP a Fortran-ordered one, each in its own memory, so beside U
-    # there are only the panel temporaries or the QR workspace, and at 2
-    # steps the N x N transform P and the scan's z-grouped copy of it,
-    # alive with U while the scan forms U
+    # `extract` copies no U: AFP factors a C-ordered U and DLP a
+    # Fortran-ordered one, each in its own memory, so beside U there are
+    # only the panel temporaries or the QR workspace, and at 2 steps the
+    # projector's N x N transform P, alive throughout, and the scan's
+    # z-grouped copy of it, alive with U while the scan forms U (the peak)
     n = 10
     P, U = transformed_vandermonde(meshgen.wam1(n), n, steps)
     bound = 1.5 * U.nbytes + (0 if P is None else P.nbytes)
@@ -223,10 +223,9 @@ def test_extract_holds_one_m_by_n_array(tmp_path, method, steps):
 @pytest.mark.parametrize("method", ["afp", "dlp"])
 @pytest.mark.parametrize("family", ["wam1", "wam2"])
 def test_extract_selects_the_nodes_of_the_shared_projector(tmp_path, family, method):
-    # at approx.LSQ_STEPS steps `extract` selects from a P it makes for
-    # itself, while `metrics` and `errors` pass the projector's P: the same
-    # P bytes, so the same U and the same nodes, and P (so q) is left
-    # intact
+    # `extract` selects through DegreeRun, as `metrics` and `errors` do: at
+    # approx.LSQ_STEPS steps from the projector's P, so the same U and the
+    # same nodes, and P (so q) is left intact
     n = 10
     assert main(["extract", "--mesh", family, "--degree", str(n), "--method", method,
                  "--ortho-steps", str(approx.LSQ_STEPS), "--out", str(tmp_path / "cli")]) == 0
@@ -444,10 +443,11 @@ def test_errors_rows_match_per_function_formula(tmp_path):
         fn = testfns.get_function(fid).fn
         truth = fn(*control.points.T)
         scale = np.abs(truth).max()
-        q = approx.interpolate(sel, fn(*sel.nodes.T))
-        fit = approx.Interpolant(degree=n, coefficients=approx.lsq_fit(proj, fn(*mesh.points.T)))
-        for tag, p in (("interp", q), ("lsq", fit)):
-            want = np.abs(approx.eval_interpolant(p, control) - truth).max() / scale
+        interp = approx.interpolate(sel, fn(*sel.nodes.T))
+        fit = approx.lsq_fit(proj, fn(*mesh.points.T))
+        for tag, c in (("interp", interp), ("lsq", fit)):
+            est = polybasis.evaluate(polybasis.enumerate_basis(n), c[:, None], control)[:, 0]
+            want = np.abs(est - truth).max() / scale
             assert got[f"{tag}_err_{fid}"] == pytest.approx(want, rel=1e-12)
 
 

@@ -187,15 +187,15 @@ def _owned_u(family, n, steps):
 def test_lu_overwrite_a_factors_an_owned_fortran_array_in_place():
     # the opt-in runs the same arithmetic in A's own memory: the same
     # PivotRecord bytes as the copying call, and no allocation but the
-    # panel temporaries (the last degree panel's gather, 66 of 286
-    # columns, is the largest)
+    # panel temporaries (the f2py copy of the last panel's 220 x 220 L
+    # block, 13% of A, is the largest)
     A = _owned_u("wam1", 10, 0)
     want = lu_row_pivot(A)
     before, got = A.copy(order="F"), []
     peak = traced_peak(lambda: got.append(lu_row_pivot(A, overwrite_a=True)))
     assert got[0].order.tobytes() == want.order.tobytes()
     assert got[0].magnitudes.tobytes() == want.magnitudes.tobytes()
-    assert peak < 0.3 * A.nbytes
+    assert peak < 0.2 * A.nbytes
     assert not np.array_equal(A, before)  # factored where it lies
 
 
