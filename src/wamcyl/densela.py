@@ -6,15 +6,18 @@ scipy's BLAS: numpy and scipy each bundle an OpenBLAS with its own
 thread pool, and while one works the other's idle workers still spin
 for the same cores.
 
+Both pivoted factorizations, qr_col_pivot and lu_row_pivot, factor a
+writeable, Fortran-contiguous float64 argument in its own memory and
+overwrite it; any other argument (C-ordered, strided, read-only or not
+float64) is copied once and left unchanged.
+
 Pivot selection uses strict greater-than comparisons, so the earliest
 index wins among exact ties; re-running on identical input under one
 BLAS thread count is bit-identical.  Column-pivoted QR is delegated to
-LAPACK (dgeqp3, which also breaks norm ties toward the first index) and
-runs in the memory of a Fortran-ordered input.  Row-pivoted LU is
-left-looking over the degree panels of the graded basis: one triangular
-solve and one GEMM per panel, then column-by-column elimination inside
-it with whole-row swaps, on a Fortran-ordered copy or, where the caller
-opts in with overwrite_a=True, in the input's own memory.  A panel's
+LAPACK (dgeqp3, which also breaks norm ties toward the first index).
+Row-pivoted LU is left-looking over the degree panels of the graded
+basis: one triangular solve and one GEMM per panel, then
+column-by-column elimination inside it with whole-row swaps.  A panel's
 operations depend only on the row count and its degree, so pivot choices
 on a leading block of whole degrees are bitwise independent of any
 trailing columns.
@@ -53,9 +56,8 @@ def qr_col_pivot(A):
     At each step the residual column of largest Euclidean norm is chosen.
     Returns the full column permutation, whose first (row count) entries
     are the greedy pivots; every one of them is checked against RANK_TOL.
-    A writeable Fortran-contiguous float64 A (such as U.T of a C-ordered U)
-    is factored in place and overwritten; any other A is copied once and
-    left untouched.
+    A is overwritten or copied as the module docstring says: U.T of a
+    C-ordered U is factored in U's memory.
     """
     A = np.require(A, dtype=float, requirements=["F", "W"])
     n_rows, n_cols = A.shape
@@ -83,7 +85,7 @@ def _scale(A):
     return scale
 
 
-def lu_row_pivot(A, overwrite_a=False):
+def lu_row_pivot(A):
     """Row permutation from Gaussian elimination with partial pivoting.
 
     Left-looking LU over graded degree panels: panel d holds the columns
@@ -96,16 +98,11 @@ def lu_row_pivot(A, overwrite_a=False):
     rows are swapped.  Column k is computed from columns 0..k only, and
     the panel bounds do not depend on the column count, so the pivots of
     a leading block of whole degrees are the leading pivots of the full
-    matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.  The
-    factorization runs on one Fortran-ordered copy, and A is not modified,
-    unless overwrite_a=True: then a writeable Fortran-contiguous float64 A
-    is factored in its own memory and overwritten (any other A is still
-    copied).  The arithmetic is the same either way.
+    matrix, bitwise: degree-(d-1) Leja points prefix degree-d ones.  A is
+    overwritten or copied as the module docstring says: a Fortran-ordered
+    U is factored in its own memory.  The arithmetic is the same either way.
     """
-    if overwrite_a:
-        LU = np.require(A, dtype=float, requirements=["F", "W"])
-    else:
-        LU = np.array(A, dtype=float, order="F")
+    LU = np.require(A, dtype=float, requirements=["F", "W"])
     n_rows, n_cols = LU.shape
     if n_rows < n_cols:
         raise ValueError("need at least as many rows as columns")

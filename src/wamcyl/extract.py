@@ -95,8 +95,9 @@ def select_nodes(mesh, n, method, ortho_steps=2, P=None):
     for 'dlp', U = V P with P = transform(mesh, n, ortho_steps) unless the
     caller passes the P of those steps.  Raises ValueError for any other
     method before anything is built.  U is formed here, by one scan of the
-    mesh, in the order its factorization overwrites: C for 'afp', Fortran
-    for 'dlp'; P is let go before the factorization runs in U's memory."""
+    mesh, in the order densela's rule factors in place: C for 'afp', whose
+    QR takes U.T, Fortran for 'dlp'; P is let go before the factorization
+    runs in U's memory."""
     if method not in ("afp", "dlp"):
         raise ValueError(f"unknown extraction method {method!r}; expected 'afp' or 'dlp'")
     if P is None:
@@ -108,7 +109,7 @@ def select_nodes(mesh, n, method, ortho_steps=2, P=None):
     if method == "afp":
         rec = densela.qr_col_pivot(U.T)
     else:
-        rec = densela.lu_row_pivot(U, overwrite_a=True)
+        rec = densela.lu_row_pivot(U)
     idx = np.array(rec.order[:len(basis)])
     return ExtractionResult(method=method, degree=n, ortho_steps=ortho_steps,
                             mesh_family=mesh.family, indices=idx, nodes=mesh.points[idx])

@@ -176,9 +176,12 @@ def orbit_representatives(mesh, pts):
     matches give its row permutation of pts.  The candidates form a group,
     so the kept ones do, and any function invariant under it has the same
     maximum over the rows as over pts.  If nothing verifies, every row is
-    kept.
+    kept.  Raises ValueError unless both sets are (M, 3) arrays and
+    DomainError for a point outside the cylinder, NaN included.
     """
     sets = [np.asarray(getattr(s, "points", s), dtype=float) for s in (mesh, pts)]
+    for s in sets:
+        polybasis._validate_points(s)
     layers = [polybasis._slabs(s) for s in sets]
     g = math.gcd(*(_rim_count(s) for s in layers))
     angle = 2 * np.pi * np.arange(g) / g

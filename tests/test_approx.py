@@ -387,6 +387,7 @@ def test_non_finite_points_are_outside_the_cylinder(column):
     # NaN fails; the message names the offending row
     sel = extract.select_afp(meshgen.wam1(3), 3)
     c = interpolate(sel, np.ones(sel.count))
+    proj = build_lsq(meshgen.wam1(3), 3)
     for value in (np.nan, np.inf):
         pts = np.array([[0.3, 0.1, -0.7], [0.0, 0.2, 0.5]])
         pts[1, column] = value
@@ -394,10 +395,19 @@ def test_non_finite_points_are_outside_the_cylinder(column):
             polybasis.vandermonde(polybasis.enumerate_basis(3), pts)
         with pytest.raises(DomainError, match=r"\(row 1\)"):
             meshgen.Mesh("wam1", 3, pts)
+        with pytest.raises(DomainError, match=r"\(row 1\)"):
+            meshgen.orbit_representatives(proj.mesh, pts)
+        with pytest.raises(DomainError, match=r"\(row 1\)"):
+            lsq_norm(proj, pts)
         with pytest.raises(DomainError):
             _evaluate(c, 3, pts)
         with pytest.raises(DomainError):
             sup_errors(3, c[:, None], lambda p: np.ones((len(p), 1)), pts)
+    flat = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"points must be an \(M, 3\) array"):
+        meshgen.orbit_representatives(proj.mesh, flat)
+    with pytest.raises(ValueError, match=r"points must be an \(M, 3\) array"):
+        lsq_norm(proj, flat)
 
 
 def test_lebesgue_scale_invariance():

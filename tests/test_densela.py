@@ -159,8 +159,8 @@ def test_lu_matches_unblocked_elimination():
         n = int(rng.integers(1, basis_size(6) + 1))
         m = int(rng.integers(n, n + 120))
         A = rng.standard_normal((m, n))
+        perm, mags = _lu_unblocked(A)  # first: an (m, 1) A is factored in place
         rec = lu_row_pivot(A)
-        perm, mags = _lu_unblocked(A)
         np.testing.assert_array_equal(rec.order, perm)
         np.testing.assert_allclose(rec.magnitudes, mags, rtol=1e-12, atol=0)
 
@@ -184,39 +184,57 @@ def _owned_u(family, n, steps):
     return transformed_vandermonde(meshgen.generate_mesh(family, n), n, steps, order="F")[1]
 
 
-def test_lu_overwrite_a_factors_an_owned_fortran_array_in_place():
-    # the opt-in runs the same arithmetic in A's own memory: the same
-    # PivotRecord bytes as the copying call, and no allocation but the
-    # panel temporaries (the f2py copy of the last panel's 220 x 220 L
-    # block, 13% of A, is the largest)
+def test_lu_factors_a_fortran_array_in_place():
+    # a Fortran-ordered A is factored in its own memory with the same
+    # arithmetic as a copy: the same PivotRecord bytes as the call on a
+    # C-ordered copy, and no allocation but the panel temporaries (the f2py
+    # copy of the last panel's 220 x 220 L block, 13% of A, is the largest)
     A = _owned_u("wam1", 10, 0)
-    want = lu_row_pivot(A)
+    want = lu_row_pivot(np.ascontiguousarray(A))
     before, got = A.copy(order="F"), []
-    peak = traced_peak(lambda: got.append(lu_row_pivot(A, overwrite_a=True)))
+    peak = traced_peak(lambda: got.append(lu_row_pivot(A)))
     assert got[0].order.tobytes() == want.order.tobytes()
     assert got[0].magnitudes.tobytes() == want.magnitudes.tobytes()
     assert peak < 0.2 * A.nbytes
     assert not np.array_equal(A, before)  # factored where it lies
 
 
-def test_lu_leaves_its_input_unchanged_by_default():
-    # without the opt-in every input is copied, a Fortran-ordered one and an
-    # (m, 1) C array (also Fortran-contiguous) included; with it, an input
-    # that cannot be factored in place is still copied
+def test_lu_copies_inputs_it_cannot_factor_in_place():
+    # a C-ordered matrix, a strided view and a read-only Fortran-ordered
+    # matrix are copied once and left as they were; the pivots are those of
+    # a Fortran-ordered copy.  A writeable Fortran-ordered matrix, an (m, 1)
+    # C array (also Fortran-contiguous) included, is overwritten
     rng = np.random.default_rng(9)
     read_only = np.asfortranarray(rng.standard_normal((40, 12)))
     read_only.flags.writeable = False
     c_ordered, strided = rng.standard_normal((40, 12)), rng.standard_normal((80, 30))[::2, 3:15]
-    for A in (c_ordered, np.asfortranarray(rng.standard_normal((40, 12))),
-              rng.standard_normal((40, 1)), strided, read_only):
+    for A in (c_ordered, strided, read_only):
         before = A.copy()
         rec = lu_row_pivot(A)
         np.testing.assert_array_equal(A, before)
         assert rec.order.tobytes() == lu_row_pivot(np.asfortranarray(A)).order.tobytes()
-    for A in (c_ordered, strided, read_only):
+    for A in (np.asfortranarray(rng.standard_normal((40, 12))), rng.standard_normal((40, 1))):
         before = A.copy()
-        lu_row_pivot(A, overwrite_a=True)
-        np.testing.assert_array_equal(A, before)
+        rec = lu_row_pivot(A)
+        assert not np.array_equal(A, before)
+        assert rec.order.tobytes() == lu_row_pivot(before).order.tobytes()
+
+
+def test_both_factorizations_overwrite_only_a_fortran_ordered_argument():
+    # one rule for both, on one C-ordered mesh Vandermonde V: QR of a
+    # C-ordered V^T and LU of V leave their arguments as they were, and
+    # pivot like the Fortran-ordered arguments V.T (QR) and a Fortran copy
+    # of V (LU), which are overwritten
+    V = transformed_vandermonde(meshgen.wam2(4), 4, 0)[1]
+    before, W = V.copy(), np.ascontiguousarray(V.T)
+    qr, lu = qr_col_pivot(W), lu_row_pivot(V)
+    np.testing.assert_array_equal(W, before.T)
+    np.testing.assert_array_equal(V, before)
+    F = np.asfortranarray(V)
+    assert lu.order.tobytes() == lu_row_pivot(F).order.tobytes()
+    assert qr.order.tobytes() == qr_col_pivot(V.T).order.tobytes()
+    assert not np.array_equal(F, before)
+    assert not np.array_equal(V, before)
 
 
 @pytest.mark.parametrize("steps", [0, 2])
@@ -226,7 +244,7 @@ def test_direct_triangular_solves_pivot_as_solve_triangular(monkeypatch, family,
     # scipy.linalg.solve_triangular passes it; with the wrapper put back
     # the pivots and their magnitudes are the same bytes
     U = _owned_u(family, 10, steps)
-    direct = lu_row_pivot(U)
+    direct = lu_row_pivot(U.copy(order="F"))  # U itself is factored below
 
     def wrapper(L, B):
         return scipy.linalg.solve_triangular(L, B, lower=True, unit_diagonal=True,

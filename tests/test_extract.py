@@ -99,14 +99,14 @@ def test_select_nodes_rejects_unknown_method(monkeypatch):
 
 def test_selection_holds_at_most_one_working_copy():
     # the factorizations select_nodes runs, on the 0-step U it forms: DLP
-    # factors one Fortran-ordered copy of a C-ordered U; its largest
-    # temporary is the f2py copy of the last panel's 220 x 220 L block
-    # (13% of U).
+    # factors one Fortran-ordered copy of a C-ordered U, which stays intact
+    # for the QR below; its largest temporary is the f2py copy of the last
+    # panel's 220 x 220 L block (13% of U).
     # AFP factors an owned C-ordered U in its own memory and allocates only
     # the workspace dgeqp3 asks for.  An |LU| temporary or a copy of U
     # would add one more U.nbytes to either.
     U = transformed_vandermonde(meshgen.wam1(10), 10, 0)[1]
-    assert traced_peak(densela.lu_row_pivot, U, True) < 1.2 * U.nbytes
+    assert traced_peak(densela.lu_row_pivot, U) < 1.2 * U.nbytes
     work = 8 * int(dgeqp3(U.T, lwork=-1, overwrite_a=1)[3][0])
     assert traced_peak(densela.qr_col_pivot, U.T) < work + 0.05 * U.nbytes
 
