@@ -49,17 +49,21 @@ class ExtractionResult:
 # largest CholeskyQR error bound transform accepts: above the <= 3.9e-13
 # of the WAMs up to n = 30, below the 1e-5 of wam1(5) squeezed tenfold in z
 GRAM_BOUND = 1e-11
+# columns of |P| the error bound reads at a time
+BOUND_COLS = 64
 
 
 def transform(mesh, n, steps):
     """P of `steps` orthogonalization steps of the degree-n Vandermonde V of
     the mesh, U = V P mesh-discretely orthonormal; None for steps = 0,
     where P is the identity and is not formed.  P comes from Cholesky
-    steps on G = V^T V (polybasis.gram), without V; G and the step
-    temporaries are freed before it is returned.  Raises ValueError for
-    negative steps or a mesh with fewer points than basis elements, before
-    anything is built, and RankDeficiencyError where G is not numerically
-    positive definite or the CholeskyQR error bound
+    steps on G = V^T V (polybasis.gram), without V, which run in place:
+    the first Cholesky copies G into what becomes P, a later step copies
+    G once more for G P unless it is the last, which writes G P into G's
+    memory; so up to two steps hold no N x N array but G and P.  Raises
+    ValueError for negative steps or a mesh with fewer points than basis
+    elements, before anything is built, and RankDeficiencyError where G
+    is not numerically positive definite or the CholeskyQR error bound
     eps * max_k (sum_i |P_ik| sqrt(G_ii))^2 exceeds GRAM_BOUND."""
     if steps < 0:
         raise ValueError(f"orthogonalization steps must be >= 0, got {steps}")
@@ -73,19 +77,28 @@ def transform(mesh, n, steps):
 
 def _cholesky_steps(G, n, steps):
     # P after `steps` Cholesky steps on the Gram matrix G, checked against
-    # GRAM_BOUND; G and every temporary die with this frame
+    # GRAM_BOUND; G is consumed when steps >= 2.  The first Cholesky copies
+    # G, which later steps read, and so does G P in every step but the
+    # last; every other factor, inverse and product overwrites its input.
+    # G is exactly symmetric (polybasis.gram), so G.T is G in Fortran
+    # order, which trmm reads without an f2py copy: the last step writes
+    # G P there
     try:  # P <- P R^-1, R = cholesky(P^T G P); upper triangular, diag(R) > 0
-        P = dtrtri(scipy.linalg.cholesky(G))[0]
-        col = densela._gemm(np.abs(P).T, np.sqrt(np.diag(G))[:, None])
-        bound = np.finfo(float).eps * col.max() ** 2
+        P = dtrtri(scipy.linalg.cholesky(G), overwrite_c=1)[0]
+        d = np.sqrt(np.diag(G))[:, None]
+        col = max(densela._gemm(np.abs(P[:, c:c + BOUND_COLS]).T, d).max()
+                  for c in range(0, len(P), BOUND_COLS))
+        bound = np.finfo(float).eps * col ** 2
     except np.linalg.LinAlgError:  # G is not numerically positive definite
         bound = np.inf
     if not bound <= GRAM_BOUND:
         raise RankDeficiencyError(f"degree-{n} basis too ill-conditioned on this mesh: Gram "
                                   f"error bound {bound:.2g} exceeds GRAM_BOUND = {GRAM_BOUND:g}")
-    for _ in range(steps - 1):
-        W = trmm(1.0, P, trmm(1.0, P, G, side=1), trans_a=1)  # P^T G P
-        P = trmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
+    for left in range(steps - 1, 0, -1):
+        GP = trmm(1.0, P, G.T, side=1, overwrite_b=left == 1)
+        W = trmm(1.0, P, GP, trans_a=1, overwrite_b=1)  # P^T G P
+        R = scipy.linalg.cholesky(W, overwrite_a=True)
+        P = trmm(1.0, dtrtri(R, overwrite_c=1)[0], P, side=1, overwrite_b=1)
     return P
 
 

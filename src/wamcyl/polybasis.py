@@ -16,8 +16,9 @@ the column map of `_factor_index`.  `vandermonde` fills V one z layer at
 a time (a large grid in Fortran order one column at a time); `scan` (and
 `evaluate` through it) streams X b(x) one z layer at a time without
 building V, from X's z blocks (`z_blocks`), contracting the z factor
-first; `gram` sums small Kronecker products over the grids.  Their
-products go through `densela._gemm`.
+first; `moments`, its adjoint, forms V^T S grid by grid, the xy factor
+first; `gram` adds small Kronecker products over the grids into V^T V
+in row blocks.  Their products go through `densela._gemm`.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from . import densela
 from .errors import DomainError
 
 DOMAIN_TOL = 1e-12
+# rows of the Gram matrix added per block (gram)
+GRAM_ROWS = 64
 
 
 class MultiIndex(NamedTuple):
@@ -173,14 +176,37 @@ def vandermonde(basis, mesh, order="C"):
     return V
 
 
+def moments(basis, mesh, S):
+    """V^T S (N, F) for V = vandermonde(basis, mesh) and S of shape (M, F),
+    without building V: the adjoint of `evaluate`, over the same grids.  On
+    a grid, S is gathered into an (xy, F * nz) block B, with B[p, f, q] the
+    value at point (xy[p], z[q]); A^T B (R, F * nz) is contracted with the
+    z factors into (R, F, n + 1), and column c takes entry [r, :, m] of
+    its factor pair.  No points give zeros."""
+    r, m = _factor_index(basis)
+    out = np.zeros((len(basis), S.shape[1]))
+    for A, tz, rows in _grids(basis.degree, mesh):
+        B = S[np.stack(rows, axis=1)].transpose(0, 2, 1).reshape(len(A), -1)
+        W = densela._gemm(A.T, B).reshape(-1, len(rows))  # (R * F, nz)
+        out += densela._gemm(W, tz.T).reshape(A.shape[1], S.shape[1], -1)[r, :, m]
+    return out
+
+
 def gram(basis, mesh):
     """V^T V for V = vandermonde(basis, mesh), without building V: on each
     tensor grid V = (A kron B)[:, S], A the ridge and B the z factors, S the
-    basis columns, so V^T V = sum over grids of (A^T A kron B^T B)[S, S]."""
+    basis columns, so V^T V = sum over grids of (A^T A kron B^T B)[S, S].
+    Each grid's term is added into G in row blocks of GRAM_ROWS rows, so
+    G is the only N x N array."""
     r, m = _factor_index(basis)
     G = np.zeros((len(basis), len(basis)))
     for A, tz, _ in _grids(basis.degree, mesh):
-        G += densela._gemm(A.T, A)[np.ix_(r, r)] * densela._gemm(tz, tz.T)[np.ix_(m, m)]
+        AA, TT = densela._gemm(A.T, A), densela._gemm(tz, tz.T)
+        for lo in range(0, len(basis), GRAM_ROWS):
+            rows = slice(lo, lo + GRAM_ROWS)
+            block = AA[np.ix_(r[rows], r)]
+            block *= TT[np.ix_(m[rows], m)]
+            G[rows] += block
     return G
 
 

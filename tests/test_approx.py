@@ -457,13 +457,15 @@ def test_lsq_constant():
 
 
 def test_lsq_fit_checks_the_sample_count_before_forming_q(monkeypatch):
-    # the count is checked against the mesh, so a misaligned call forms no Q
+    # the count is checked against the mesh, so a misaligned call makes no
+    # pass over it
     proj = build_lsq(meshgen.wam1(3), 3)
 
     def unbuilt(*args, **kwargs):
-        raise AssertionError("formed Q for misaligned samples")
+        raise AssertionError("passed over the mesh for misaligned samples")
 
-    monkeypatch.setattr(polybasis, "evaluate", unbuilt)
+    for name in ("evaluate", "moments"):
+        monkeypatch.setattr(polybasis, name, unbuilt)
     with pytest.raises(ValueError, match="align with the projector mesh"):
         lsq_fit(proj, np.ones(proj.mesh.cardinality - 1))
 
@@ -483,14 +485,69 @@ def test_lsq_projector_unique_across_steps():
 
 
 def test_lsq_norm_forms_no_x_and_copies_no_block():
-    # the projector keeps only P; lsq_norm forms Q = V P, the z blocks
-    # P[m == d] Q^T of X = Q P^T from it, and frees Q before the scan, so
-    # Q and the blocks are its only M x N arrays (X and a z-grouped copy of
-    # it were two more)
+    # the projector keeps only P; lsq_norm forms X = Q P^T = V P P^T once,
+    # transposed with its rows grouped by z degree, and hands the scan row
+    # slices of it as the z blocks, so it holds one M x N array and copies
+    # no block (Q beside the blocks, or X beside a z-grouped copy, is two)
     n = 10
     mesh, ctrl = meshgen.wam1(n), meshgen.control_mesh("wam1", n)
     peak = traced_peak(lambda: lsq_norm(build_lsq(mesh, n), ctrl))
     assert peak < 2.5 * mesh.cardinality * polybasis.basis_size(n) * 8
+
+
+def test_least_squares_never_reads_q(monkeypatch):
+    # the fit comes from the moments V^T S, the operator norm from V P P^T:
+    # neither forms Q = V P
+    n = 4
+    mesh = meshgen.wam2(n)
+    proj = build_lsq(mesh, n)
+    c = np.random.default_rng(13).uniform(-1, 1, polybasis.basis_size(n))
+    samples = _values(c, n, mesh.points)
+    want_norm = lsq_norm(proj, mesh)
+
+    def unread(self):
+        raise AssertionError("read LsqProjector.q")
+
+    monkeypatch.setattr(approx.LsqProjector, "q", property(unread))
+    assert np.abs(lsq_fit(proj, samples) - c).max() < 1e-8
+    assert lsq_norm(proj, mesh) == want_norm
+
+
+def test_lsq_fit_allocates_no_m_by_n_array():
+    # P (P^T (V^T S)) from the moments: no V and no Q; only the fit's
+    # N-sized and N x N operands beside the grid factors
+    n = 10
+    mesh = meshgen.wam1(n)
+    proj = build_lsq(mesh, n)
+    S = np.ones((mesh.cardinality, 2))
+    peak = traced_peak(lsq_fit, proj, S)
+    assert peak < 0.25 * mesh.cardinality * polybasis.basis_size(n) * 8
+
+
+@pytest.mark.parametrize("norm", ["lebesgue_constant", "lsq_norm", "sup_errors"])
+def test_sup_norms_refuse_an_empty_evaluation_set(monkeypatch, norm):
+    # a maximum over no points is undefined: one ValueError, raised before
+    # any work (the second round makes every step of the work fail)
+    mesh = meshgen.wam1(3)
+    sel, proj = extract.select_afp(mesh, 3), build_lsq(mesh, 3)
+    c = interpolate(sel, np.ones(sel.count))
+    call = {"lebesgue_constant": lambda pts: lebesgue_constant(sel, pts),
+            "lsq_norm": lambda pts: lsq_norm(proj, pts),
+            "sup_errors": lambda pts: sup_errors(3, c[:, None],
+                                                 lambda p: np.ones((len(p), 1)), pts)}[norm]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("worked on an empty evaluation set")
+
+    for patched in (False, True):
+        if patched:
+            for module, name in ((polybasis, "scan"), (polybasis, "z_blocks"),
+                                 (polybasis, "evaluate"), (meshgen, "orbit_representatives"),
+                                 (approx, "lagrange_matrix")):
+                monkeypatch.setattr(module, name, unbuilt)
+        for empty in (np.empty((0, 3)), meshgen.Mesh("wam1", 3, np.empty((0, 3)))):
+            with pytest.raises(ValueError, match="no evaluation points"):
+                call(empty)
 
 
 def test_lsq_norm_reference_magnitude():

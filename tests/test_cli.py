@@ -260,15 +260,18 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     # preconditioner works from the mesh's tensor grids) and no Vandermonde
     # ever rebuilt, one transform P (extract.transform) shared by selection
     # and least squares, one LU of the node Vandermonde, two passes over
-    # the mesh (U = V P for the selection, Q = V P where least squares
-    # reads it: no M x N array is kept between them) and the control
-    # passes: `metrics` scans the control mesh for the Lebesgue constant
-    # and the orbit representatives for the LSQ norm, or the control mesh
-    # again where no isometry verifies (wam2 at odd n = 3); `errors` makes
-    # one control pass
+    # the mesh (U = V P for the selection, then the least-squares pass:
+    # the moments V^T S of the fit in `errors`, counted as a scan, or the
+    # scan that forms V P P^T for the operator norm in `metrics`; no M x N
+    # array is kept between them) and the control passes: `metrics`
+    # scans the control mesh for the Lebesgue constant and the orbit
+    # representatives for the LSQ norm, or the control mesh again where
+    # no isometry verifies (wam2 at odd n = 3); `errors` makes one
+    # control pass
     built, counts = {}, {}
     vandermonde, transform = polybasis.vandermonde, extract.transform
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan
+    moments = polybasis.moments
 
     def counted_vandermonde(basis, pts):
         key = (_blake(pts), basis.degree)
@@ -288,10 +291,17 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
         counts[passes[key]] += 1
         return scan(basis, X, pts, *args, **kwargs)
 
+    def counted_moments(basis, pts, S):
+        # the fit's pass over the mesh counts as a scan of it
+        assert passes.get(_blake(pts)) == "mesh_scan", "moments over a point set other than a mesh"
+        counts["mesh_scan"] += 1
+        return moments(basis, pts, S)
+
     monkeypatch.setattr(polybasis, "vandermonde", counted_vandermonde)
     monkeypatch.setattr(extract, "transform", counter("ortho", transform))
     monkeypatch.setattr(densela, "lu_factor_checked", counter("lu", lu_factor_checked))
     monkeypatch.setattr(polybasis, "scan", counted_scan)
+    monkeypatch.setattr(polybasis, "moments", counted_moments)
     degrees = (2, 3)
     for argv, control_scans, rep_scans in (
             (["metrics", "--mesh", "wam2", "--method", "afp"], 3, 1),

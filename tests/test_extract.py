@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from _reference import traced_peak, transformed_vandermonde
-from scipy.linalg.lapack import dgeqp3
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dgeqp3, dtrtri
 
 from wamcyl import densela, meshgen, polybasis
 from wamcyl.errors import RankDeficiencyError
@@ -42,6 +43,42 @@ def test_precondition_stays_on_the_gram_path_at_degree_20():
     # n = 20), still far below GRAM_BOUND
     _, U = transformed_vandermonde(meshgen.wam2(20), 20, 2)
     assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
+
+
+def _copying_cholesky_steps(mesh, n, steps):
+    # the Cholesky steps out of place, every scipy call copying its input:
+    # G summed whole over the grids, P = R^-1, then P <- P R^-1 with
+    # R = cholesky(P^T G P)
+    basis = polybasis.enumerate_basis(n)
+    r, m = polybasis._factor_index(basis)
+    G = np.zeros((len(basis), len(basis)))
+    for A, tz, _ in polybasis._grids(n, mesh):
+        G += densela._gemm(A.T, A)[np.ix_(r, r)] * densela._gemm(tz, tz.T)[np.ix_(m, m)]
+    P = dtrtri(scipy.linalg.cholesky(G))[0]
+    for _ in range(steps - 1):
+        W = dtrmm(1.0, P, dtrmm(1.0, P, G, side=1), trans_a=1)
+        P = dtrmm(1.0, dtrtri(scipy.linalg.cholesky(W))[0], P, side=1)
+    return G, P
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_in_place_cholesky_steps_give_the_copying_bytes(family, n):
+    # gram's row blocks and the in-place factors, inverses and products are
+    # the same arithmetic as the copying reference, so G and P agree bitwise
+    mesh = meshgen.generate_mesh(family, n)
+    for steps in (1, 2, 3):
+        G, P = _copying_cholesky_steps(mesh, n, steps)
+        assert polybasis.gram(polybasis.enumerate_basis(n), mesh).tobytes() == G.tobytes()
+        assert transform(mesh, n, steps).tobytes() == P.tobytes()
+
+
+def test_transform_holds_at_most_two_gram_sized_arrays():
+    # G and P, the only N x N arrays at two steps: the first Cholesky copies
+    # G, and the error bound, the later factors and products run on column
+    # blocks or in place (the copying steps held five)
+    N = polybasis.basis_size(10)
+    assert traced_peak(transform, meshgen.wam1(10), 10, 2) < 3 * N * N * 8
 
 
 @pytest.mark.parametrize("squeeze", ["z tenfold", "one repeated point"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _reference import cheb_t, cheb_u, wade_eval
 
-from wamcyl import meshgen, polybasis
+from wamcyl import extract, meshgen, polybasis
 from wamcyl.errors import DomainError
 from wamcyl.polybasis import basis_size, enumerate_basis, vandermonde
 
@@ -189,6 +189,46 @@ def test_fortran_order_fill_gives_the_same_bytes(points):
         want, got = build(*args), build(*args, order="F")
         assert want.flags.c_contiguous and got.flags.f_contiguous
         assert got.tobytes(order="C") == want.tobytes()
+
+
+@pytest.mark.parametrize("F", [1, 3])
+@pytest.mark.parametrize("points", ["wam1-6", "wam2-5", "wam2-6", "nodes"])
+def test_moments_are_the_transposed_vandermonde_product(points, F):
+    # moments is the adjoint of evaluate over the same grids: V^T S, no V.
+    # A selected node set has few points per z value, down to one per grid
+    family, n = ("wam2", 5) if points == "nodes" else (points[:4], int(points[5:]))
+    pts = meshgen.generate_mesh(family, n).points
+    if points == "nodes":
+        pts = extract.select_dlp(meshgen.wam2(n), n, 2).nodes
+    basis = enumerate_basis(n)
+    S = np.random.default_rng(23).standard_normal((len(pts), F))
+    want = vandermonde(basis, pts).T @ S
+    got = polybasis.moments(basis, pts, S)
+    assert got.shape == (len(basis), F)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_moments_and_gram_on_no_points_are_zero():
+    basis = enumerate_basis(3)
+    np.testing.assert_array_equal(polybasis.moments(basis, np.empty((0, 3)), np.empty((0, 2))),
+                                  np.zeros((len(basis), 2)))
+    np.testing.assert_array_equal(polybasis.gram(basis, np.empty((0, 3))),
+                                  np.zeros((len(basis), len(basis))))
+
+
+def test_moments_reject_points_outside_the_cylinder():
+    pts = np.array([[0.3, 0.1, -0.7], [0.0, 0.2, 0.5], [0.9, 0.5, 0.0]])  # r^2 = 1.06
+    with pytest.raises(DomainError, match=r"\(row 2\)"):
+        polybasis.moments(enumerate_basis(3), pts, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("family,n", [("wam1", 8), ("wam2", 7), ("wam2", 8)])
+def test_gram_is_exactly_symmetric(family, n):
+    # both factor Gram matrices come from dsyrk and are symmetrized, so every
+    # entry of G is the same product as its mirror; the Cholesky steps read
+    # G.T as G in Fortran order on that account
+    G = polybasis.gram(enumerate_basis(n), meshgen.generate_mesh(family, n))
+    assert np.array_equal(G, G.T)
 
 
 def _gram_reference(n):
