@@ -5,17 +5,19 @@ lsq_fit return it, always in the graded cylinder basis, even when a
 least-squares projector was built through an orthogonalizing transform, so
 fits can be evaluated (polybasis.evaluate) and compared across modules.
 Sup norms over large control meshes are reductions of X b(x) over one
-stream of z layers (polybasis.scan), which runs tensor grid by tensor grid
-and z node by z node; the maximum is order-independent, so neither the
-layering nor the order of the points changes results.  X enters the scan
-as its z blocks, which may be row slices of one array whose rows are
-grouped by z degree, so no z-grouped copy of X is made.
+stream of z layers (polybasis.scan), which runs tensor grid by tensor grid,
+z node by z node and block by block, each block's product at most N x N;
+the maximum is order-independent, so neither the layering nor the order of
+the points changes results.  X enters the scan as its z blocks, which may
+be row slices of one array whose rows are grouped by z degree, so no
+z-grouped copy of X is made.
 
 A least-squares projector keeps only its N x N transform P, and no
-function here forms Q = V P (M x N).  lsq_fit reads the fit P P^T V^T S
-from the moments V^T S (polybasis.moments, one pass over the mesh, no V),
-as CholeskyQR allows; lsq_norm forms the z blocks of X = Q P^T as
-V (P P^T), its one M x N array, by one mesh scan.
+function here forms Q = V P or X = Q P^T (M x N).  lsq_fit reads the fit
+P P^T V^T S from the moments V^T S (polybasis.moments, one pass over the
+mesh, no V), as CholeskyQR allows; lsq_norm streams X from one pass over
+the mesh, at most N mesh points at a time, into one scan of the
+evaluation points, which adds each chunk's part of every 1-norm.
 
 The least-squares operator norm is a maximum over the least row of each
 orbit of the evaluation points.  Its Lebesgue function x -> ||Q P^T b(x)||_1
@@ -103,11 +105,15 @@ def lagrange_matrix(nodes):
 
 def _projector_norm(basis, blocks, pts):
     """Lebesgue constant max over pts of ||X b(x)||_1 of a linear projector,
-    X (K, N) in the graded basis given as the z blocks polybasis.scan
-    takes, from one stream over pts."""
-    norms = polybasis.scan(basis, blocks, pts,
-                           lambda _, G: np.abs(G, out=G).sum(axis=0).max())
-    return float(max(norms))
+    X (K, N) in the graded basis given as polybasis.scan takes it: as its
+    z blocks, or as an iterator of the z blocks of chunks of its rows, whose
+    partial 1-norms are added to each point's in chunk order.  One stream
+    over pts."""
+    norms = np.zeros(len(pts))
+    for rows, s in polybasis.scan(basis, blocks, pts,
+                                  lambda rows, G: (rows, np.abs(G, out=G).sum(axis=0))):
+        norms[rows] += s
+    return float(norms.max())
 
 
 def lebesgue_constant(nodes, control):
@@ -148,19 +154,43 @@ def lsq_norm(proj, eval_on):
     Mesh or an (M, 3) array) of ||Q P^T b(x)||_1.
 
     The maximum is taken over the least row of each orbit of the points
-    (meshgen.orbit_representatives); the module docstring says why.  X =
-    Q P^T = V P P^T is formed by one mesh scan as its transpose, with its
-    rows grouped by z degree (perm, the stable argsort of the degrees):
-    evaluate(P P[perm]^T) in Fortran order, transposed, is (N, M) in C
-    order, so the z blocks the scan takes are row slices of it, its one
-    M x N array.  Q is never formed.  Raises ValueError for an empty
+    (meshgen.orbit_representatives); the module docstring says why.  One
+    scan of those rows takes X = Q P^T = V P P^T chunk by chunk from
+    _lsq_rows, one pass over the mesh, and adds each chunk's part of every
+    1-norm, so neither X nor Q is formed.  Raises ValueError for an empty
     eval_on.
     """
     pts = _evaluation_points(eval_on)
     rows = meshgen.orbit_representatives(proj.mesh, pts).rows
-    basis, P = polybasis.enumerate_basis(proj.degree), proj.transform
+    basis = polybasis.enumerate_basis(proj.degree)
+    return _projector_norm(basis, _lsq_rows(basis, proj), pts[rows])
+
+
+def _lsq_rows(basis, proj):
+    """The z blocks of X = V P P^T (M, N), a chunk of X's rows at a time,
+    from one scan of the mesh.  The scan takes (P P^T)[perm] as its z
+    blocks, rows of C = (P P[perm]^T)[perm], perm the stable argsort of the
+    z degrees, and gives each layer's rows of X transposed, grouped by z
+    degree.  Consecutive layers fill one (N, width) chunk, width =
+    polybasis._block_doubles // N mesh points (N from n = 10 on), a layer
+    straddling two chunks where it does not fit; each full chunk, and the
+    last, is yielded as its row slices.  The chunk's memory is reused, so
+    each is consumed before the next is drawn."""
     _, m = polybasis._factor_index(basis)  # the z degree of each column
     perm = np.argsort(m, kind="stable")
-    XT = polybasis.evaluate(basis, densela._gemm(P, P[perm].T), proj.mesh, "F").T
-    blocks = np.split(XT, np.cumsum(np.bincount(m))[:-1])
-    return _projector_norm(basis, blocks, pts[rows])
+    ends = np.cumsum(np.bincount(m))[:-1]
+    P = proj.transform
+    C = densela._gemm(P, P[perm].T)[perm]
+    width = min(polybasis._block_doubles(basis) // len(basis),
+                len(getattr(proj.mesh, "points", proj.mesh)))
+    XT, filled = np.empty((len(basis), width)), 0
+    for R in polybasis.scan(basis, np.split(C, ends), proj.mesh, lambda _, R: R):
+        while R.shape[1]:  # a layer may straddle two chunks
+            take = min(width - filled, R.shape[1])
+            XT[:, filled:filled + take] = R[:, :take]
+            R, filled = R[:, take:], filled + take
+            if filled == width:
+                yield np.split(XT, ends)
+                filled = 0
+    if filled:
+        yield np.split(XT[:, :filled], ends)

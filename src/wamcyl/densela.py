@@ -159,8 +159,11 @@ def _gemm(A, B, c=None, alpha=1.0, beta=0.0):
     with the transpose flag where its order asks for one; any other
     operand is copied.  A single column (n = 1) goes to dgemv: dgemm
     takes several times longer on one.  B = A.T, a view of A's memory,
-    goes to dsyrk, as numpy's matmul does: half the flops.
+    goes to dsyrk, as numpy's matmul does: half the flops.  An empty
+    product (m or n zero) calls no BLAS.
     """
+    if not (A.shape[0] and B.shape[1]):
+        return np.empty((A.shape[0], B.shape[1])) if c is None else c
     if c is not None and c.flags.f_contiguous and not c.flags.c_contiguous:
         return _gemm(B.T, A.T, c.T, alpha, beta).T  # c^T = B^T A^T is C-ordered
     if (c is None and B.shape == A.shape[::-1] and B.strides == A.strides[::-1]

@@ -16,11 +16,14 @@ the column map of `_factor_index`.  `vandermonde` fills V one z layer at
 a time (a large grid in Fortran order one column at a time); `scan` (and
 `evaluate` through it) streams X b(x) one z layer at a time without
 building V, from X's z blocks (`z_blocks`), contracting the z factor
-first; `moments`, its adjoint, forms V^T S grid by grid, the xy factor
-first; `gram` adds small Kronecker products over the grids into V^T V
-in row blocks.  Their products go through `densela._gemm`.
+first, in row blocks of at most N x N doubles (or 512 KB, if more), and
+takes X whole or as chunks of its rows over one evaluation of the grids;
+`moments`, its adjoint, forms V^T S grid by grid, the xy factor first;
+`gram` adds small Kronecker products over the grids into V^T V in row
+blocks.  Their products go through `densela._gemm`.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +35,8 @@ from .errors import DomainError
 DOMAIN_TOL = 1e-12
 # rows of the Gram matrix added per block (gram)
 GRAM_ROWS = 64
+# the fewest doubles (512 KB) a scan's product block may hold (_block_doubles)
+SCAN_MIN_BLOCK = 1 << 16
 
 
 class MultiIndex(NamedTuple):
@@ -114,28 +119,47 @@ def z_blocks(basis, C):
 
 
 def scan(basis, blocks, mesh, reduce):
-    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per z layer
-    of each tensor grid of the points of `mesh` (a Mesh or an (M, 3)
-    array), rows the layer's indices into those points.
+    """Yield reduce(rows, X @ vandermonde(basis, pts[rows]).T) per row
+    block of each z layer of each tensor grid of the points of `mesh` (a
+    Mesh or an (M, 3) array), rows the block's indices into those points.
 
     X is (K, N) with N = len(basis), given as its z blocks: blocks[d] is
     the (R_d, K) array X[:, m == d].T of the columns of z degree d, as
     z_blocks(basis, X.T) makes them, or as a caller forms them without X.
-    Each grid's layers are written into one (K, xy) buffer, so a
-    reduction must not keep the array it is handed: the next layer
-    overwrites it.  Only the reductions leave the generator.  Layers come
-    in grid order and cover every point exactly once.
+    `blocks` may also be an iterator of such lists, one per chunk of X's
+    rows: the grids are then found once, and each chunk is scanned over
+    all of them (its products K_chunk x rows) before the next is drawn, so
+    the iterator may reuse a chunk's memory for the next.
+
+    A layer's product is formed in row blocks of at most
+    _block_doubles(basis) doubles: N x N, the size of the transform a
+    degree already holds, or SCAN_MIN_BLOCK where that is more.  So no
+    product grows with the points.  The blocks of a grid are written into
+    one buffer, and a reduction must not keep the array it is handed (the
+    next block overwrites it).  Only the reductions leave the generator.
+    Blocks come in layer order and layers in grid order, and they cover
+    every point exactly once.
 
     No Vandermonde is built: per layer, the blocks are contracted with the
     z factors into Y (K, R) and the product is Y @ ridges, about 2*K*R*M
     flops in place of 2*K*N*M (sum factorization).
     """
-    for A, tz, rows in _grids(basis.degree, mesh):
-        # the transpose (xy, K) in C order: this orientation runs the
-        # product and the reductions over K fastest
-        out = np.empty((len(A), blocks[0].shape[1]))
-        for q, layer in enumerate(rows):
-            yield reduce(layer, densela._gemm(A, _contract_z(blocks, tz[:, q]), out).T)
+    grids = _grids(basis.degree, mesh)
+    for X in blocks if isinstance(blocks, Iterator) else [blocks]:
+        K = X[0].shape[1]
+        step = max(_block_doubles(basis) // max(K, 1), 1)  # points per block
+        for A, tz, rows in grids:
+            # the transpose (points, K) in C order: this orientation runs the
+            # product and the reductions over K fastest
+            out = np.empty((min(len(A), step), K))
+            for q, layer in enumerate(rows):
+                YT = _contract_z(X, tz[:, q])
+                for lo in range(0, len(A), step):
+                    part = A[lo:lo + step]
+                    yield reduce(layer[lo:lo + step],
+                                 densela._gemm(part, YT, out[:len(part)]).T)
+                del YT  # freed before the next layer's is formed
+            del out  # and the buffer before the next grid's
 
 
 def evaluate(basis, C, mesh, order="C"):
@@ -208,6 +232,12 @@ def gram(basis, mesh):
             block *= TT[np.ix_(m[rows], m)]
             G[rows] += block
     return G
+
+
+def _block_doubles(basis):
+    # the most doubles a scan's product block holds: N x N, but never fewer
+    # than SCAN_MIN_BLOCK, so that low degrees are not cut into slivers
+    return max(len(basis) ** 2, SCAN_MIN_BLOCK)
 
 
 def _factor_index(basis):

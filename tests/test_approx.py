@@ -495,6 +495,48 @@ def test_lsq_norm_forms_no_x_and_copies_no_block():
     assert peak < 2.5 * mesh.cardinality * polybasis.basis_size(n) * 8
 
 
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+def test_sup_norm_scans_hand_over_at_most_n_squared_entries(monkeypatch, family):
+    # every product the Lebesgue and LSQ-norm scans reduce is a block of at
+    # most N x N entries: the lambda scan's layers (1681 control points per
+    # layer on wam1, K = N) are cut, and X = V P P^T reaches the scan of the
+    # orbit representatives in chunks of at most N mesh points
+    n = 10
+    mesh = meshgen.generate_mesh(family, n)
+    sel, proj = extract.select_afp(mesh, n, 0), build_lsq(mesh, n)
+    ctrl = meshgen.control_mesh(family, n)
+    N = polybasis.basis_size(n)
+    shapes = []
+    scan = polybasis.scan
+
+    def recorded(basis, blocks, on, reduce):
+        def sized(rows, R):
+            shapes.append(R.shape)
+            return reduce(rows, R)
+        return scan(basis, blocks, on, sized)
+
+    monkeypatch.setattr(polybasis, "scan", recorded)
+    for norm in (lambda: lebesgue_constant(sel, ctrl), lambda: lsq_norm(proj, ctrl)):
+        shapes.clear()
+        norm()
+        assert shapes and max(k * m for k, m in shapes) <= N * N
+        assert max(k for k, _ in shapes) <= N
+
+
+def test_lsq_norm_holds_a_few_n_by_n_arrays():
+    # beside the orbit search, lsq_norm holds (P P^T)[perm] and one chunk of
+    # X (N x N each) and the blocks of its two scans, never X (M x N); the
+    # orbit search, which reads the whole control mesh, is done beforehand
+    n = 10
+    mesh, ctrl = meshgen.wam1(n), meshgen.control_mesh("wam1", n)
+    proj = build_lsq(mesh, n)
+    orbits = meshgen.orbit_representatives(mesh, ctrl)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "orbit_representatives", lambda *_: orbits)
+        peak = traced_peak(lsq_norm, proj, ctrl)
+    assert peak < 4.5 * polybasis.basis_size(n) ** 2 * 8
+
+
 def test_least_squares_never_reads_q(monkeypatch):
     # the fit comes from the moments V^T S, the operator norm from V P P^T:
     # neither forms Q = V P

@@ -262,12 +262,13 @@ def test_pipeline_builds_each_stage_once_per_degree(tmp_path, monkeypatch):
     # and least squares, one LU of the node Vandermonde, two passes over
     # the mesh (U = V P for the selection, then the least-squares pass:
     # the moments V^T S of the fit in `errors`, counted as a scan, or the
-    # scan that forms V P P^T for the operator norm in `metrics`; no M x N
-    # array is kept between them) and the control passes: `metrics`
-    # scans the control mesh for the Lebesgue constant and the orbit
-    # representatives for the LSQ norm, or the control mesh again where
-    # no isometry verifies (wam2 at odd n = 3); `errors` makes one
-    # control pass
+    # one scan that forms V P P^T chunk by chunk for the operator norm in
+    # `metrics`; no M x N array is formed) and the control passes:
+    # `metrics` scans the control mesh for the Lebesgue constant and the
+    # orbit representatives for the LSQ norm, one scan that takes every
+    # chunk of V P P^T in turn, or the control mesh again where no
+    # isometry verifies (wam2 at odd n = 3); `errors` makes one control
+    # pass
     built, counts = {}, {}
     vandermonde, transform = polybasis.vandermonde, extract.transform
     lu_factor_checked, scan = densela.lu_factor_checked, polybasis.scan

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _reference import cheb_t, cheb_u, wade_eval
 
-from wamcyl import extract, meshgen, polybasis
+from wamcyl import densela, extract, meshgen, polybasis
 from wamcyl.errors import DomainError
 from wamcyl.polybasis import basis_size, enumerate_basis, vandermonde
 
@@ -149,6 +149,99 @@ def test_vandermonde_block_iteration():
     for rows, B in parts:
         got[rows] = B
     np.testing.assert_array_equal(got, V)
+
+
+def _whole_layer_evaluate(basis, C, pts):
+    # evaluate as one product per z layer, however large: the reference
+    # for the row blocks of polybasis.scan
+    blocks = polybasis.z_blocks(basis, C)
+    out = np.empty((len(pts), C.shape[1]))
+    for A, tz, rows in polybasis._grids(basis.degree, pts):
+        for q, layer in enumerate(rows):
+            out[layer] = densela._gemm(A, polybasis._contract_z(blocks, tz[:, q]))
+    return out
+
+
+@pytest.mark.parametrize("family", ["wam1", "wam2"])
+@pytest.mark.parametrize("n", [5, 8])
+def test_evaluate_on_a_mesh_is_one_block_per_layer(family, n):
+    # a mesh grid has fewer xy points than N, so U = V P takes one product
+    # per layer, bytes as before the row blocks
+    mesh = meshgen.generate_mesh(family, n)
+    basis = enumerate_basis(n)
+    P = extract.transform(mesh, n, 2)
+    want = _whole_layer_evaluate(basis, P, mesh.points)
+    assert polybasis.evaluate(basis, P, mesh).tobytes() == want.tobytes()
+
+
+def test_scan_cuts_a_layer_into_blocks_of_at_most_n_squared():
+    # at n = 10 (N = 286) a 1681-point layer of the wam1 control mesh is cut
+    # into 286-point blocks for K = N, in point order, with the whole
+    # layer's values; below SCAN_MIN_BLOCK doubles no layer is cut
+    n = 10
+    ctrl = meshgen.control_mesh("wam1", n).points
+    pts = ctrl[ctrl[:, 2] == ctrl[0, 2]]  # one z layer
+    basis = enumerate_basis(n)
+    N = len(basis)
+    assert len(pts) == 1681 and N * N > polybasis.SCAN_MIN_BLOCK
+    X = np.random.default_rng(5).uniform(-1, 1, (N, N))
+    parts = list(polybasis.scan(basis, polybasis.z_blocks(basis, X.T), pts,
+                                lambda rows, R: (rows, R.T.copy())))
+    assert [len(rows) for rows, _ in parts] == [286] * 5 + [251]
+    got = np.concatenate([R for _, R in parts])
+    assert np.concatenate([rows for rows, _ in parts]).tolist() == list(range(len(pts)))
+    np.testing.assert_allclose(got, _whole_layer_evaluate(basis, X.T, pts), rtol=0,
+                               atol=1e-13 * np.abs(got).max())
+    small = enumerate_basis(4)
+    lens = [len(rows) for rows, _ in polybasis.scan(
+        small, polybasis.z_blocks(small, np.eye(len(small))), pts, lambda rows, R: (rows, R))]
+    assert lens == [1681]
+
+
+def test_evaluate_with_no_columns_or_more_than_a_block():
+    # K = 0: an (M, 0) array, with no product and no zero division in the
+    # block rule; K above a block's doubles: one point per block
+    mesh = meshgen.wam1(4)
+    basis = enumerate_basis(4)
+    for order in ("C", "F"):
+        assert polybasis.evaluate(basis, np.empty((len(basis), 0)), mesh, order).shape == (
+            mesh.cardinality, 0)
+    small = enumerate_basis(1)
+    C = np.random.default_rng(7).uniform(-1, 1, (len(small), polybasis.SCAN_MIN_BLOCK + 1))
+    got = polybasis.evaluate(small, C, meshgen.wam1(1))
+    np.testing.assert_allclose(got, vandermonde(small, meshgen.wam1(1)) @ C, rtol=0, atol=1e-14)
+
+
+def test_scan_of_chunks_finds_the_grids_once(monkeypatch):
+    # an iterator of chunks of X's rows is scanned chunk after chunk over
+    # one evaluation of the grids: the chunks' products are the rows of the
+    # whole X's, and a chunk is drawn only once the one before is done
+    n = 5
+    basis, pts = enumerate_basis(n), meshgen.control_mesh("wam2", n).points
+    X = np.random.default_rng(6).uniform(-1, 1, (7, len(basis)))
+    whole = np.empty((len(pts), 7))
+    for rows, R in polybasis.scan(basis, polybasis.z_blocks(basis, X.T), pts,
+                                  lambda rows, R: (rows, R.T.copy())):
+        whole[rows] = R
+    calls, drawn = [], []
+    ridge_factors = polybasis._ridge_factors
+    monkeypatch.setattr(polybasis, "_ridge_factors",
+                        lambda *a: calls.append(1) or ridge_factors(*a))
+
+    def chunks():
+        for lo, hi in ((0, 4), (4, 7)):
+            drawn.append(lo)
+            yield polybasis.z_blocks(basis, X[lo:hi].T)
+
+    got, seen = np.full((len(pts), 7), np.nan), []
+    for lo, rows, R in polybasis.scan(basis, chunks(), pts,
+                                      lambda rows, R: (drawn[-1], rows, R.T.copy())):
+        got[rows, lo:lo + R.shape[1]] = R
+        seen.append(lo)
+    assert calls == [1] and drawn == [0, 4]
+    assert seen == sorted(seen)  # every product of the first chunk comes first
+    # a narrower product may round differently in the last bit
+    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
 
 
 def test_vandermonde_rows_follow_the_points():
